@@ -30,10 +30,10 @@
 // It then compares the two *serving* modes end-to-end — expanded tables
 // vs the compact MobilityTable (closed set + placement index, see
 // src/patterns/mobility.hpp) — on a dense check-in corpus and on the
-// sparse paper-calibrated one, recording resident table bytes and
-// mine/crowd build times for both and asserting the crowd models are
-// value-identical (the closed-mode tentpole invariant; this is the CI
-// smoke gate).
+// sparse paper-calibrated one, recording resident table bytes, mine
+// time (total and per user) and crowd build time for both and asserting
+// the crowd models are value-identical (the closed-mode tentpole
+// invariant; this is the CI smoke gate).
 //
 // Recorded acceptance bars (asserted in full mode; smoke asserts only
 // the deterministic set-size and equality properties, not timings):
@@ -211,6 +211,7 @@ data::Dataset dense_checkin_corpus(std::size_t user_count, int days) {
 struct ModeResult {
   patterns::MobilityStats stats;
   double mine_ms = 0.0;
+  double mine_ms_per_user = 0.0;
   double crowd_ms = 0.0;
   crowd::CrowdModel crowd;
 };
@@ -232,7 +233,9 @@ ModeResult run_mode(const data::Dataset& dataset, const geo::SpatialGrid& grid,
   auto crowd = crowd::CrowdModel::build(dataset, mobility, grid);
   const double crowd_ms = ms_since(start);
   if (!crowd.is_ok()) std::abort();
-  ModeResult result{{}, mine_ms, crowd_ms, std::move(crowd).value()};
+  const double per_user =
+      mine_ms / static_cast<double>(std::max<std::size_t>(1, mobility.size()));
+  ModeResult result{{}, mine_ms, per_user, crowd_ms, std::move(crowd).value()};
   for (const patterns::UserMobility& entry : mobility) result.stats.add(entry);
   return result;
 }
@@ -275,9 +278,10 @@ json::Value serving_mode_block(const char* corpus_name, const data::Dataset& dat
   std::printf("--- serving modes, %s corpus: %zu users, %zu check-ins ---\n", corpus_name,
               dataset.user_count(), dataset.checkin_count());
   const auto row = [](const char* mode, const ModeResult& r) {
-    std::printf("%10s %10zu pat %8zu cand %12zu bytes %8.1f mine ms %8.1f crowd ms\n",
+    std::printf("%10s %10zu pat %8zu cand %12zu bytes %8.1f mine ms %7.3f ms/user "
+                "%8.1f crowd ms\n",
                 mode, r.stats.patterns, r.stats.placement_candidates, r.stats.bytes,
-                r.mine_ms, r.crowd_ms);
+                r.mine_ms, r.mine_ms_per_user, r.crowd_ms);
   };
   row("expanded", expanded);
   row("compact", compact);
@@ -289,6 +293,7 @@ json::Value serving_mode_block(const char* corpus_name, const data::Dataset& dat
          {"placement_candidates", static_cast<std::int64_t>(r.stats.placement_candidates)},
          {"table_bytes", static_cast<std::int64_t>(r.stats.bytes)},
          {"mine_ms", r.mine_ms},
+         {"mine_ms_per_user", r.mine_ms_per_user},
          {"crowd_ms", r.crowd_ms},
          {"placements", static_cast<std::int64_t>(r.crowd.total_placements())}});
   };

@@ -66,6 +66,13 @@ void ResponseCache::init_metrics() {
       &metrics_->gauge("crowdweb_http_cache_entries", "Live cache entries.");
 }
 
+void ResponseCache::set_epoch(std::uint64_t epoch, std::string tag) {
+  const std::lock_guard<std::mutex> lock(publish_mutex_);
+  state_.store(std::make_shared<const CacheEpoch>(CacheEpoch{epoch, std::move(tag)}),
+               std::memory_order_release);
+  epoch_.store(epoch, std::memory_order_release);
+}
+
 std::string ResponseCache::make_key(std::string_view method, std::string_view target,
                                     std::uint64_t epoch) const {
   return crowdweb::format("{} {}@{}", method, target, epoch);
@@ -93,18 +100,19 @@ std::shared_ptr<const CachedResponse> ResponseCache::lookup(std::string_view met
   return it->second->response;
 }
 
-std::shared_ptr<const CachedResponse> ResponseCache::insert(std::string_view method,
-                                                            std::string_view target,
-                                                            const Response& response) {
-  const std::uint64_t at_epoch = epoch();
+std::shared_ptr<const CachedResponse> ResponseCache::insert(
+    std::string_view method, std::string_view target, const Response& response,
+    std::shared_ptr<const CacheEpoch> rendered_at) {
+  if (rendered_at == nullptr) rendered_at = epoch_state();
+  const std::uint64_t at_epoch = rendered_at->key;
   auto cached = std::make_shared<CachedResponse>();
   cached->status = response.status;
   cached->headers = response.headers;
   cached->body = response.body;
   cached->epoch = at_epoch;
-  const auto tag = epoch_tag();
-  cached->etag = tag ? crowdweb::format("\"{}-{:x}\"", *tag, fnv1a(response.body))
-                     : crowdweb::format("\"{}-{:x}\"", at_epoch, fnv1a(response.body));
+  cached->etag = rendered_at->tag.empty()
+                     ? crowdweb::format("\"{}-{:x}\"", at_epoch, fnv1a(response.body))
+                     : crowdweb::format("\"{}-{:x}\"", rendered_at->tag, fnv1a(response.body));
   cached->headers["ETag"] = cached->etag;
   {  // render the keep-alive hit image once; every hit serves it verbatim
     Response hit;
@@ -115,6 +123,8 @@ std::shared_ptr<const CachedResponse> ResponseCache::insert(std::string_view met
     cached->wire = serialize(hit, /*keep_alive=*/true);
   }
 
+  // A publish landed while this rendered: the body may straddle it.
+  if (epoch_state() != rendered_at) return cached;
   std::string key = make_key(method, target, at_epoch);
   const std::size_t cost = cost_of(key, *cached);
   if (cost > shard_budget_) return cached;  // would evict the whole shard for one entry

@@ -66,6 +66,15 @@ struct ResponseCacheStats {
   std::uint64_t epoch = 0;         ///< current key epoch
 };
 
+/// The epoch the cache keys and tags on, published as one value so a
+/// reader never pairs one publish's key with another's tag.
+struct CacheEpoch {
+  std::uint64_t key = 0;  ///< the numeric key epoch
+  /// ETag rendition of the key; empty renders the numeric key. A sharded
+  /// deployment passes the dotted epoch vector (e.g. "3.5.2").
+  std::string tag;
+};
+
 /// One cached response, shared with readers (a hit pins the entry even
 /// if it is evicted an instant later).
 struct CachedResponse {
@@ -95,29 +104,25 @@ class ResponseCache {
     return epoch_.load(std::memory_order_acquire);
   }
 
+  /// The current key epoch and its tag, as one value. A renderer takes
+  /// this before it renders and hands it to insert().
+  [[nodiscard]] std::shared_ptr<const CacheEpoch> epoch_state() const noexcept {
+    return state_.load(std::memory_order_acquire);
+  }
+
   /// Keys all subsequent lookups/inserts on `epoch`. Entries of other
   /// epochs become unreachable immediately and are reclaimed by LRU
   /// eviction. Safe to call from any thread (the ingest worker calls it
   /// from its publish path).
-  void set_epoch(std::uint64_t epoch) noexcept {
-    epoch_.store(epoch, std::memory_order_release);
-  }
+  void set_epoch(std::uint64_t epoch) { set_epoch(epoch, std::string()); }
 
   /// Same, with a human-readable rendition of the epoch that replaces
   /// the numeric epoch in ETags — a sharded deployment passes the mixed
   /// epoch vector as `epoch` and its dotted form (e.g. "3.5.2") as
   /// `tag`, so validators surface per-shard progress (see docs/API.md).
-  /// Safe from any thread; shard publish hooks call it concurrently.
-  void set_epoch(std::uint64_t epoch, std::string tag) {
-    epoch_tag_.store(std::make_shared<const std::string>(std::move(tag)),
-                     std::memory_order_release);
-    set_epoch(epoch);
-  }
-
-  /// The current ETag tag (null when ETags render the numeric epoch).
-  [[nodiscard]] std::shared_ptr<const std::string> epoch_tag() const noexcept {
-    return epoch_tag_.load(std::memory_order_acquire);
-  }
+  /// The key and the tag are published together. Safe from any thread;
+  /// shard publish hooks call it concurrently.
+  void set_epoch(std::uint64_t epoch, std::string tag);
 
   /// Looks up (method, target) at the current epoch. A hit refreshes
   /// LRU recency and counts toward crowdweb_http_cache_hits_total; a
@@ -133,14 +138,17 @@ class ResponseCache {
                                                              std::string_view target,
                                                              bool record_miss = true);
 
-  /// Caches `response` for (method, target) at the current epoch and
-  /// returns the stored entry (with its ETag computed and added to the
-  /// stored headers). Evicts LRU entries until the shard fits its
-  /// budget share. Responses bigger than one shard's budget are not
-  /// cached (returns the entry anyway so the caller can use its ETag).
-  std::shared_ptr<const CachedResponse> insert(std::string_view method,
-                                               std::string_view target,
-                                               const Response& response);
+  /// Caches `response` for (method, target) at `rendered_at` — the
+  /// epoch_state() its renderer took before rendering, null for the
+  /// current one — and returns the entry (with its ETag, for that epoch,
+  /// added to the stored headers). A response whose epoch was replaced
+  /// while it rendered is not stored: it may mix the two epochs' state,
+  /// so it is served once, to its own request, and never as a hit.
+  /// Evicts LRU entries until the shard fits its budget share. Responses
+  /// bigger than one shard's budget are not cached either.
+  std::shared_ptr<const CachedResponse> insert(
+      std::string_view method, std::string_view target, const Response& response,
+      std::shared_ptr<const CacheEpoch> rendered_at = nullptr);
 
   [[nodiscard]] ResponseCacheStats stats() const;
 
@@ -164,8 +172,12 @@ class ResponseCache {
 
   ResponseCacheConfig config_;
   std::size_t shard_budget_ = 0;
+  // state_ is the published (key, tag) pair; epoch_ mirrors its key so
+  // a lookup costs one atomic load. set_epoch writes both under
+  // publish_mutex_, so concurrent publishers leave them in step.
+  std::mutex publish_mutex_;
+  std::atomic<std::shared_ptr<const CacheEpoch>> state_{std::make_shared<const CacheEpoch>()};
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::shared_ptr<const std::string>> epoch_tag_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::unique_ptr<telemetry::Registry> own_metrics_;

@@ -26,7 +26,8 @@ void Router::add(std::string_view method, std::string_view pattern, Handler hand
   route.segments = split_path(pattern);
   // Normalized spelling ("/a/:b" regardless of how it was written), the
   // stable label value for per-route metrics.
-  route.pattern = "/" + join(route.segments, "/");
+  route.pattern = '/';
+  route.pattern += join(route.segments, "/");
   route.handler = std::move(handler);
   route.options = options;
   routes_.push_back(std::move(route));

@@ -410,6 +410,7 @@ struct Server::Impl {
     bool served_from_cache = false;
     ResponseCache* cache = config.cache;
     std::string target;
+    std::shared_ptr<const CacheEpoch> rendered_at;
     const bool cache_eligible = cache != nullptr && router.cacheable(request, &pattern);
     if (cache_eligible) {
       target = request.path;
@@ -427,9 +428,12 @@ struct Server::Impl {
       response.body = entry->body;
       response.headers["X-Cache"] = "hit";
     } else {
+      // Taken before the handler runs: a publish during the render must
+      // not key the body under an epoch it was not rendered from.
+      if (cache_eligible) rendered_at = cache->epoch_state();
       response = router.dispatch(request, &pattern);
       if (cache_eligible && response.status == 200) {
-        entry = cache->insert("GET", target, response);
+        entry = cache->insert("GET", target, response, rendered_at);
         response.headers = entry->headers;  // picks up the computed ETag
         response.headers["X-Cache"] = "miss";
       }

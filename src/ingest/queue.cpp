@@ -42,11 +42,23 @@ std::size_t IngestQueue::push_batch(std::span<const IngestEvent> events) {
 std::size_t IngestQueue::drain(std::vector<IngestEvent>& out, std::size_t max_events,
                                std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait_for(lock, timeout, [this] { return !events_.empty() || closed_; });
+  const auto ready = [this] { return !events_.empty() || closed_ || woken_; };
+  if (timeout == kNoTimeout) {
+    not_empty_.wait(lock, ready);
+  } else {
+    not_empty_.wait_for(lock, timeout, ready);
+  }
+  woken_ = false;
   const std::size_t count = std::min(max_events, events_.size());
   out.insert(out.end(), events_.begin(), events_.begin() + count);
   events_.erase(events_.begin(), events_.begin() + count);
   return count;
+}
+
+void IngestQueue::wake() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  woken_ = true;
+  not_empty_.notify_all();
 }
 
 void IngestQueue::close() {

@@ -42,11 +42,19 @@ class IngestQueue {
   /// number accepted. Rejected events are counted.
   std::size_t push_batch(std::span<const IngestEvent> events);
 
-  /// Consumer side: blocks up to `timeout` for at least one event, then
-  /// appends up to `max_events` to `out`. Returns the number drained
-  /// (0 on timeout or when closed and empty).
+  /// drain()'s timeout for waiting with no deadline.
+  static constexpr std::chrono::milliseconds kNoTimeout = std::chrono::milliseconds::max();
+
+  /// Consumer side: blocks up to `timeout` (kNoTimeout: with no
+  /// deadline) for at least one event, a wake() or close(), then appends
+  /// up to `max_events` to `out`. Returns the number drained (0 on
+  /// timeout, on a wake, or when closed and empty).
   std::size_t drain(std::vector<IngestEvent>& out, std::size_t max_events,
                     std::chrono::milliseconds timeout);
+
+  /// Ends the consumer's current or next drain() wait without an event,
+  /// so a request made to an idle consumer is seen at once.
+  void wake();
 
   /// Rejects all future pushes and wakes the consumer. Already-queued
   /// events remain drainable. Idempotent.
@@ -78,6 +86,7 @@ class IngestQueue {
   std::condition_variable not_empty_;
   std::deque<IngestEvent> events_;
   bool closed_ = false;
+  bool woken_ = false;
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<telemetry::Counter*> rejected_counter_{nullptr};
 };

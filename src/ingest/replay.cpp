@@ -88,9 +88,11 @@ std::string events_csv(std::span<const IngestEvent> events,
   rows.reserve(events.size() + 1);
   rows.push_back({"user", "category", "lat", "lon", "timestamp"});
   for (const IngestEvent& event : events) {
+    // "{}" formats a double with the shortest text that parses back to
+    // the same bits, so the receiver resolves the same venue.
     rows.push_back({std::to_string(event.user), taxonomy.name(event.category),
-                    std::to_string(event.position.lat),
-                    std::to_string(event.position.lon),
+                    crowdweb::format("{}", event.position.lat),
+                    crowdweb::format("{}", event.position.lon),
                     format_timestamp(event.timestamp)});
   }
   return data::write_csv(rows);

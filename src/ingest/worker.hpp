@@ -69,7 +69,8 @@ struct IngestWorkerConfig {
   /// Events drained from the queue per wakeup.
   std::size_t drain_batch = 1024;
   /// Minimum spacing between epoch rebuilds; accepted events batch up in
-  /// between.
+  /// between. At 0 every drain rebuilds at once, and an idle worker
+  /// blocks until an event arrives.
   std::chrono::milliseconds rebuild_interval{200};
   /// Telemetry registry the worker records onto (crowdweb_ingest_*
   /// families; see docs/OBSERVABILITY.md). Must outlive the worker.
@@ -200,6 +201,8 @@ class IngestWorker {
   /// Rebuilds derived state and publishes the next epoch. Worker thread
   /// only (also called once from start() before the thread exists).
   Status rebuild_and_publish();
+  /// How long the worker loop may block waiting for events.
+  [[nodiscard]] std::chrono::milliseconds drain_timeout() const;
   [[nodiscard]] data::VenueId resolve_venue(data::CategoryId category,
                                             const geo::LatLon& position);
 

@@ -117,6 +117,11 @@ struct MobilityOptions {
                                               const data::Taxonomy& taxonomy,
                                               const MobilityOptions& options = {});
 
+/// The same, over a day-sequence database already built (the entry's
+/// user is sequences.user).
+[[nodiscard]] UserMobility mine_user_mobility(const mining::UserSequences& sequences,
+                                              const mining::MiningOptions& mining);
+
 /// Phase 2 over every user of the dataset (sequential).
 [[nodiscard]] std::vector<UserMobility> mine_all_mobility(const data::Dataset& dataset,
                                                           const data::Taxonomy& taxonomy,

@@ -101,8 +101,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::create(const core::Platform& p
         [self, id](const ingest::PlatformSnapshot& snapshot) {
           if (self->epoch_gauge_[id] != nullptr)
             self->epoch_gauge_[id]->set(static_cast<double>(snapshot.epoch));
-          if (self->cache_ != nullptr)
-            self->cache_->set_epoch(self->combined_epoch(), self->epoch_tag());
+          self->rekey_cache();
         });
   }
   return router;
@@ -125,7 +124,7 @@ Status ShardRouter::start() {
   }
   // Hooks fired while siblings were still starting saw their epochs as
   // 0; settle the cache key on the complete vector.
-  if (cache_ != nullptr) cache_->set_epoch(combined_epoch(), epoch_tag());
+  rekey_cache();
   refresh_gauges();
   return Status::ok();
 }
@@ -248,6 +247,16 @@ std::vector<std::uint64_t> ShardRouter::epoch_vector() const {
 }
 
 std::string ShardRouter::epoch_tag() const { return epoch_tag_of(epoch_vector()); }
+
+void ShardRouter::rekey_cache() {
+  if (cache_ == nullptr) return;
+  // One read of the vector gives both the key and the tag; serializing
+  // the publishers makes the last re-key the one that read the newest
+  // vector, so a slower hook never rolls the key back.
+  const std::lock_guard<std::mutex> lock(rekey_mutex_);
+  const std::vector<std::uint64_t> epochs = epoch_vector();
+  cache_->set_epoch(mix_epoch_vector(epochs), epoch_tag_of(epochs));
+}
 
 std::uint64_t ShardRouter::combined_epoch() const {
   const std::vector<std::uint64_t> epochs = epoch_vector();

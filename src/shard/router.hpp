@@ -205,6 +205,8 @@ class ShardRouter {
   void init_metrics();
   /// Pushes per-shard gauges (up/epoch/lag/queue/live) to the registry.
   void refresh_gauges() const;
+  /// Re-keys the attached cache on the current epoch vector.
+  void rekey_cache();
 
   const core::Platform* platform_ = nullptr;
   ShardRouterConfig config_;
@@ -223,6 +225,7 @@ class ShardRouter {
   telemetry::Counter* merges_ = nullptr;
   telemetry::Counter* degraded_reads_ = nullptr;
 
+  std::mutex rekey_mutex_;
   mutable std::mutex merge_mutex_;
   mutable MergedPtr merge_cache_;  // guarded by merge_mutex_
 };

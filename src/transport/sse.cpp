@@ -105,14 +105,16 @@ struct EpochStreamPublisher::State {
   [[nodiscard]] std::string render_crowd_body(const ingest::PlatformSnapshot& snapshot,
                                               int window) {
     const std::string target = "/api/crowd/" + std::to_string(window);
+    std::shared_ptr<const http::CacheEpoch> rendered_at;
     if (options.cache != nullptr) {
+      rendered_at = options.cache->epoch_state();
       if (const auto hit = options.cache->lookup("GET", target, /*record_miss=*/false))
         return hit->body;
     }
     http::Response rendered = render_crowd(snapshot, window);
     if (rendered.status != 200) return {};
     if (options.cache != nullptr) {
-      if (const auto entry = options.cache->insert("GET", target, rendered))
+      if (const auto entry = options.cache->insert("GET", target, rendered, rendered_at))
         return entry->body;
     }
     return std::move(rendered.body);

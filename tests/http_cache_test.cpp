@@ -167,6 +167,17 @@ class CachedServerFixture : public ::testing::Test {
           200, "{\"key\":\"" + params.at("key") +
                    "\",\"generation\":" + std::to_string(generation_.load()) + "}");
     });
+    // Renders the current generation, then a publish lands before the
+    // render returns (once): new content and a new epoch.
+    router.get_cached("/straddle", [this](const Request&, const PathParams&) {
+      invocations_.fetch_add(1);
+      const int generation = generation_.load();
+      if (publish_during_render_.exchange(false)) {
+        generation_.store(generation + 1);
+        cache_->set_epoch(cache_->epoch() + 1);
+      }
+      return Response::json(200, "{\"generation\":" + std::to_string(generation) + "}");
+    });
     router.get("/uncached", [this](const Request&, const PathParams&) {
       invocations_.fetch_add(1);
       return Response::text(200, "uncached");
@@ -189,6 +200,7 @@ class CachedServerFixture : public ::testing::Test {
   std::unique_ptr<Server> server_;
   std::atomic<int> invocations_{0};
   std::atomic<int> generation_{0};
+  std::atomic<bool> publish_during_render_{true};
 };
 
 TEST_F(CachedServerFixture, SecondRequestServedWithoutHandler) {
@@ -270,6 +282,32 @@ TEST_F(CachedServerFixture, EpochBumpServesFreshContentWithoutInvalidation) {
   ASSERT_TRUE(revalidated.is_ok());
   EXPECT_EQ(revalidated->status, 200);
   EXPECT_NE(revalidated->body.find("\"generation\":1"), std::string::npos);
+}
+
+TEST_F(CachedServerFixture, RenderStraddlingAPublishIsNeverCached) {
+  const auto straddled = fetch_path("/straddle");
+  ASSERT_TRUE(straddled.is_ok());
+  EXPECT_EQ(straddled->status, 200);
+  EXPECT_EQ(straddled->body, "{\"generation\":0}");
+  EXPECT_EQ(straddled->headers.at("x-cache"), "miss");
+  // Tagged with the epoch it was rendered from, not the one it finished in.
+  EXPECT_EQ(straddled->headers.at("etag").rfind("\"0-", 0), 0u)
+      << straddled->headers.at("etag");
+  EXPECT_EQ(cache_->epoch(), 1u);
+  EXPECT_EQ(cache_->stats().entries, 0u) << "the straddling body was stored";
+
+  // The new epoch renders afresh rather than hitting the old body...
+  const auto fresh = fetch_path("/straddle");
+  ASSERT_TRUE(fresh.is_ok());
+  EXPECT_EQ(fresh->headers.at("x-cache"), "miss");
+  EXPECT_EQ(fresh->body, "{\"generation\":1}");
+  EXPECT_EQ(fresh->headers.at("etag").rfind("\"1-", 0), 0u) << fresh->headers.at("etag");
+  // ...and that render, undisturbed, is cached.
+  const auto hit = fetch_path("/straddle");
+  ASSERT_TRUE(hit.is_ok());
+  EXPECT_EQ(hit->headers.at("x-cache"), "hit");
+  EXPECT_EQ(hit->body, fresh->body);
+  EXPECT_EQ(invocations_.load(), 2);
 }
 
 TEST_F(CachedServerFixture, HeadSharesTheGetEntry) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -19,6 +22,8 @@
 #include "ingest/snapshot.hpp"
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
+#include "transport/csv_source.hpp"
+#include "transport/frame.hpp"
 #include "util/log.hpp"
 
 namespace crowdweb {
@@ -106,6 +111,21 @@ TEST(IngestQueueTest, CloseWakesBlockedConsumerAndRejectsProducers) {
   EXPECT_TRUE(queue.closed());
   EXPECT_FALSE(queue.try_push(valid_event()));
   EXPECT_EQ(queue.rejected(), 1u);
+}
+
+TEST(IngestQueueTest, WakeEndsAnUnboundedWaitWithoutAnEvent) {
+  ingest::IngestQueue queue(4);
+  std::vector<ingest::IngestEvent> drained;
+  std::size_t count = 1;
+  std::thread consumer(
+      [&] { count = queue.drain(drained, 10, ingest::IngestQueue::kNoTimeout); });
+  std::this_thread::sleep_for(20ms);
+  queue.wake();
+  consumer.join();
+  EXPECT_EQ(count, 0u);
+  EXPECT_FALSE(queue.closed());
+  // The wake is consumed: the next wait times out normally.
+  EXPECT_EQ(queue.drain(drained, 10, 10ms), 0u);
 }
 
 TEST(IngestQueueTest, QueuedEventsRemainDrainableAfterClose) {
@@ -245,12 +265,117 @@ TEST(IngestWorkerTest, StopMergesPendingEventsIntoFinalEpoch) {
   EXPECT_EQ(snapshot->live_checkins, 2u);
 }
 
+double process_cpu_ms() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) * 1e3 + static_cast<double>(now.tv_nsec) / 1e6;
+}
+
+// With a zero rebuild interval an idle worker blocks on its queue
+// instead of polling it, yet still publishes events and stops promptly.
+TEST(IngestWorkerTest, IdleWorkerWithZeroIntervalDoesNotSpin) {
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 0ms;
+  auto worker = core::make_ingest_worker(test_platform(), config);
+  ASSERT_TRUE(worker->start().is_ok());
+  const std::vector<ingest::IngestEvent> first{valid_event(1)};
+  ASSERT_EQ(worker->submit(first).accepted, 1u);
+  ASSERT_TRUE(worker->wait_for_epoch(2, 5s));
+
+  const double cpu_before = process_cpu_ms();
+  std::this_thread::sleep_for(300ms);
+  const double idle_cpu_ms = process_cpu_ms() - cpu_before;
+  EXPECT_LT(idle_cpu_ms, 30.0) << "the idle worker burned CPU waiting for events";
+
+  const std::vector<ingest::IngestEvent> second{valid_event(2)};
+  ASSERT_EQ(worker->submit(second).accepted, 1u);
+  ASSERT_TRUE(worker->wait_for_epoch(3, 5s));
+  const auto stop_start = std::chrono::steady_clock::now();
+  worker->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start, 1s);
+  EXPECT_EQ(worker->hub().current()->live_checkins, 2u);
+}
+
 TEST(IngestWorkerTest, GuestIdsAreDistinctAndOutsideCorpusRange) {
   auto worker = core::make_ingest_worker(test_platform());
   const data::UserId a = worker->allocate_guest_id();
   const data::UserId b = worker->allocate_guest_id();
   EXPECT_NE(a, b);
   EXPECT_GE(a, 3'000'000'000u);
+}
+
+// ------------------------------------------------------------ CSV bodies
+
+/// Events at the corpus venues' own positions and categories: every one
+/// resolves to an existing venue unless its coordinates change in transit.
+std::vector<ingest::IngestEvent> venue_events(const data::Dataset& dataset) {
+  std::vector<ingest::IngestEvent> events;
+  for (const data::Venue& venue : dataset.venues()) {
+    events.push_back({static_cast<data::UserId>(1 + events.size() % 50), venue.category,
+                      venue.position,
+                      1'334'000'000 + static_cast<std::int64_t>(events.size()) * 60});
+  }
+  return events;
+}
+
+transport::ParsedIngest parse_csv_body(std::string body) {
+  http::Request request;
+  request.method = "POST";
+  request.path = "/api/ingest";
+  request.body = std::move(body);
+  auto parsed = transport::parse_ingest_csv(request, data::Taxonomy::foursquare(),
+                                            [] { return data::UserId{0}; });
+  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  return parsed.is_ok() ? std::move(parsed).value() : transport::ParsedIngest{};
+}
+
+TEST(IngestCsvTest, CoordinatesRoundTripBitExactly) {
+  std::vector<ingest::IngestEvent> events;
+  for (int i = 0; i < 500; ++i) {
+    const double step = static_cast<double>(i) * 1.234567891e-7;
+    events.push_back({7, 0, {40.71234567890123 + step, -73.98765432109876 - 3 * step},
+                      1'334'000'000 + i});
+  }
+  events.push_back({7, 0, {1e-9, -0.0}, 1'334'000'000});
+  events.push_back({7, 0, {-89.99999999999999, 179.99999999999997}, 1'334'000'000});
+  const transport::ParsedIngest parsed =
+      parse_csv_body(ingest::events_csv(events, data::Taxonomy::foursquare()));
+  ASSERT_EQ(parsed.events.size(), events.size());
+  EXPECT_EQ(parsed.invalid, 0u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.events[i].position.lat),
+              std::bit_cast<std::uint64_t>(events[i].position.lat))
+        << "event " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.events[i].position.lon),
+              std::bit_cast<std::uint64_t>(events[i].position.lon))
+        << "event " << i;
+  }
+}
+
+/// Venues in the worker's latest epoch after `events` merged.
+std::size_t venues_after(const std::vector<ingest::IngestEvent>& events) {
+  ingest::IngestWorkerConfig config;
+  config.rebuild_interval = 10min;  // one final epoch, on stop()
+  auto worker = core::make_ingest_worker(test_platform(), config);
+  EXPECT_TRUE(worker->start().is_ok());
+  EXPECT_EQ(worker->submit(events).accepted, events.size());
+  worker->stop();
+  EXPECT_EQ(worker->hub().current()->live_checkins, events.size());
+  return worker->hub().current()->dataset.venue_count();
+}
+
+TEST(IngestCsvTest, CsvReplayMintsNoVenueThatFramesDoNot) {
+  const data::Dataset& dataset = test_platform().experiment_dataset();
+  const std::vector<ingest::IngestEvent> events = venue_events(dataset);
+  const transport::FrameDecodeResult framed =
+      transport::decode_frame(transport::encode_data_frame(1, events));
+  ASSERT_EQ(framed.state, transport::FrameState::kComplete) << framed.error;
+  const transport::ParsedIngest csv =
+      parse_csv_body(ingest::events_csv(events, data::Taxonomy::foursquare()));
+  ASSERT_EQ(csv.events.size(), events.size());
+
+  EXPECT_EQ(venues_after(framed.frame.events), dataset.venue_count());
+  EXPECT_EQ(venues_after(csv.events), dataset.venue_count()) << "CSV minted live venues";
 }
 
 // ------------------------------------------------------------ HTTP routes

@@ -32,7 +32,7 @@ data::Dataset two_point_dataset(double meters, int visits) {
   for (int i = 0; i < 2; ++i) {
     data::VenueSpec v;
     v.id = static_cast<data::VenueId>(i);
-    v.name = i == 0 ? "A" : "B";
+    v.name.assign(1, i == 0 ? 'A' : 'B');
     v.category = *tax().find("Coffee Shop");
     v.position = i == 0 ? a : b;
     EXPECT_TRUE(builder.add_venue(v).is_ok());

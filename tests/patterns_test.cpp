@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <random>
 
+#include "mining/registry.hpp"
 #include "patterns/mobility.hpp"
 #include "patterns/place_graph.hpp"
 #include "util/civil_time.hpp"
@@ -306,6 +309,123 @@ TEST(CompactMobilityTest, ResidentBytesShrinkWithTheClosedSet) {
   // the expanded table (sparse corpora can invert this — see
   // docs/PERFORMANCE.md).
   EXPECT_LT(compact_stats.bytes, expanded_stats.bytes);
+}
+
+/// The compact entry's derived fields as the expansion recipe defines
+/// them: expand the closed set with expand_closed_patterns, annotate
+/// every pattern, then keep each (label, minute) group's support
+/// frontier by sorting the candidates by key and back into rank order.
+struct ExpansionReference {
+  std::vector<MobilityPattern> patterns;
+  std::vector<PlacementCandidate> index;
+  std::size_t expanded = 0;
+  bool truncated = false;
+};
+
+ExpansionReference expansion_reference(const mining::UserSequences& sequences,
+                                       const mining::MiningOptions& options) {
+  const mining::MiningResult mined = mining::mine_with(sequences.columns(), options);
+  mining::MiningStats stats = mined.stats;
+  const std::vector<mining::Pattern> full =
+      mining::expand_closed_patterns(mined.patterns, sequences.day_count(), options, &stats);
+  ExpansionReference reference;
+  reference.expanded = stats.expanded;
+  reference.truncated = stats.truncated;
+  std::vector<PlacementCandidate> candidates;
+  std::uint32_t rank = 0;
+  for (const mining::Pattern& pattern : full) {
+    reference.patterns.push_back(annotate_pattern(pattern, sequences));
+    for (const TimedElement& element : reference.patterns.back().elements) {
+      candidates.push_back(
+          {element.label,
+           static_cast<std::uint16_t>(
+               std::clamp(static_cast<int>(element.mean_minute), 0, 24 * 60 - 1)),
+           rank++, static_cast<std::uint32_t>(pattern.support_count), pattern.support});
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const PlacementCandidate& a, const PlacementCandidate& b) {
+              if (a.label != b.label) return a.label < b.label;
+              if (a.minute != b.minute) return a.minute < b.minute;
+              return a.rank < b.rank;
+            });
+  std::uint32_t best = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (i == 0 || candidates[i - 1].label != candidates[i].label ||
+        candidates[i - 1].minute != candidates[i].minute)
+      best = 0;  // a new (label, minute) group
+    if (candidates[i].support_count <= best) continue;
+    best = candidates[i].support_count;
+    reference.index.push_back(candidates[i]);
+  }
+  std::sort(reference.index.begin(), reference.index.end(),
+            [](const PlacementCandidate& a, const PlacementCandidate& b) {
+              return a.rank < b.rank;
+            });
+  return reference;
+}
+
+/// A dense random day database: `days` days of 3-11 visits over six
+/// labels with scattered ids (so the dense remap is not the identity),
+/// at increasing random minutes.
+mining::UserSequences random_days(std::mt19937& rng, std::size_t days) {
+  static constexpr std::array<mining::Item, 6> kLabels{3, 17, 40, 41, 400, 9000};
+  std::uniform_int_distribution<std::size_t> length(3, 11);
+  std::uniform_int_distribution<std::size_t> label(0, kLabels.size() - 1);
+  std::uniform_int_distribution<int> gap(1, 120);
+  mining::UserSequences sequences;
+  sequences.user = 42;
+  for (std::size_t d = 0; d < days; ++d) {
+    std::vector<mining::Item> items;
+    std::vector<int> minutes;
+    int minute = gap(rng);
+    for (std::size_t i = length(rng); i > 0; --i) {
+      items.push_back(kLabels[label(rng)]);
+      minutes.push_back(std::min(minute, 24 * 60 - 1));
+      minute += gap(rng);
+    }
+    sequences.append_day(items, minutes);
+  }
+  return sequences;
+}
+
+TEST(CompactMobilityTest, IndexAndLazyExpansionMatchTheExpansionRecipe) {
+  std::mt19937 rng(20231);
+  std::size_t truncated_cases = 0;
+  std::size_t capped_cases = 0;
+  for (std::size_t db = 0; db < 12; ++db) {
+    const mining::UserSequences sequences = random_days(rng, 6 + 3 * (db % 5));
+    for (const double min_support : {0.2, 0.35, 0.5, 0.7}) {
+      for (const std::size_t max_length : {2u, 3u, 5u, 12u}) {
+        for (const std::size_t max_patterns : {200'000u, 7u}) {
+          mining::MiningOptions options;
+          options.algorithm = "bide";
+          options.expand_closed = false;
+          options.min_support = min_support;
+          options.max_pattern_length = max_length;
+          options.max_patterns = max_patterns;
+          SCOPED_TRACE(testing::Message() << "db " << db << " support " << min_support
+                                          << " max_length " << max_length
+                                          << " max_patterns " << max_patterns);
+          const ExpansionReference reference = expansion_reference(sequences, options);
+          const UserMobility mobility = mine_user_mobility(sequences, options);
+          ASSERT_TRUE(mobility.closed_only);
+          EXPECT_EQ(mobility.user, 42u);
+          EXPECT_EQ(mobility.placement_index, reference.index);
+          EXPECT_EQ(mobility.frequent_patterns, reference.patterns.size());
+          EXPECT_EQ(mobility.mining_stats.expanded, reference.expanded);
+          EXPECT_EQ(mobility.mining_stats.truncated, reference.truncated);
+          EXPECT_EQ(expand_user_patterns(mobility, sequences, options), reference.patterns);
+          if (reference.truncated) ++truncated_cases;
+          for (const MobilityPattern& pattern : mobility.patterns)
+            if (pattern.length() == max_length) ++capped_cases;
+        }
+      }
+    }
+  }
+  // Both the max_patterns fallback and a binding length cap were covered.
+  EXPECT_GT(truncated_cases, 0u);
+  EXPECT_GT(capped_cases, 0u);
 }
 
 TEST(MobilityTest, ParallelMiningEmptyDataset) {

@@ -19,7 +19,9 @@
 #include "core/api.hpp"
 #include "core/platform.hpp"
 #include "http/cache.hpp"
+#include "http/client.hpp"
 #include "http/router.hpp"
+#include "http/server.hpp"
 #include "ingest/worker.hpp"
 #include "json/json.hpp"
 #include "shard/api.hpp"
@@ -508,6 +510,64 @@ TEST(ShardEpochs, EtagEmbedsDottedVectorAndRekeysOnPublish) {
   // The old entry is unreachable at the new epoch key.
   EXPECT_EQ(cache.lookup("GET", "/api/crowd/9")->etag, entry2->etag);
 
+  router.stop();
+}
+
+// A merged read whose render straddles a shard publish: served once to
+// its own request under the vector it was rendered from, never cached.
+TEST(ShardEpochs, RenderStraddlingAShardPublishIsNeverCached) {
+  const core::Platform& platform = test_platform();
+  http::ResponseCache cache;
+  auto router_result = shard::ShardRouter::create(platform, router_config(2));
+  ASSERT_TRUE(router_result.is_ok()) << router_result.status().to_string();
+  shard::ShardRouter& router = **router_result;
+  router.rekey_cache_on_publish(&cache);
+  ASSERT_TRUE(router.start().is_ok());
+  const http::Router api = shard::make_shard_api_router(router);
+
+  data::UserId user = 0;
+  while (shard::shard_of_user(user, 2) != 0) ++user;
+  const data::Venue& venue = platform.experiment_dataset().venues()[0];
+  ingest::IngestEvent event{user, venue.category, venue.position, 1'334'000'000};
+  std::atomic<bool> publish_during_render{true};
+  http::Router routes;
+  routes.get_cached("/api/crowd/:window", [&](const http::Request& request,
+                                              const http::PathParams&) {
+    http::Response rendered = api.dispatch(get_request(request.path));
+    if (publish_during_render.exchange(false)) {
+      EXPECT_EQ(router.submit({&event, 1}).accepted, 1u);
+      EXPECT_TRUE(router.shard(0).worker().wait_for_epoch(2, 10s));
+    }
+    return rendered;
+  });
+  http::ServerConfig server_config;
+  server_config.worker_threads = 1;
+  server_config.cache = &cache;
+  http::Server server(std::move(routes), server_config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  const auto straddled = http::get("127.0.0.1", server.port(), "/api/crowd/9");
+  ASSERT_TRUE(straddled.is_ok());
+  EXPECT_EQ(straddled->headers.at("x-cache"), "miss");
+  EXPECT_EQ(straddled->headers.at("etag").rfind("\"1.1-", 0), 0u)
+      << straddled->headers.at("etag");
+  EXPECT_EQ(cache.stats().entries, 0u) << "the straddling render was cached";
+
+  // The re-key published the new vector's key and tag as one value.
+  const auto state = cache.epoch_state();
+  EXPECT_EQ(state->tag, "2.1");
+  EXPECT_EQ(state->key, shard::mix_epoch_vector(std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(cache.epoch(), state->key);
+
+  const auto fresh = http::get("127.0.0.1", server.port(), "/api/crowd/9");
+  ASSERT_TRUE(fresh.is_ok());
+  EXPECT_EQ(fresh->headers.at("x-cache"), "miss");
+  EXPECT_EQ(fresh->headers.at("etag").rfind("\"2.1-", 0), 0u) << fresh->headers.at("etag");
+  const auto hit = http::get("127.0.0.1", server.port(), "/api/crowd/9");
+  ASSERT_TRUE(hit.is_ok());
+  EXPECT_EQ(hit->headers.at("x-cache"), "hit");
+  EXPECT_EQ(hit->body, fresh->body);
+  server.stop();
   router.stop();
 }
 
