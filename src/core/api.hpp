@@ -40,8 +40,8 @@
 //
 // and every crowd-facing route (crowd/groups/flow/animation/rhythm)
 // reads the worker's latest published snapshot instead of the batch
-// platform: handlers load one atomic shared_ptr per request — no locks —
-// and keep that epoch alive until the response is built.
+// platform: handlers copy the hub's shared_ptr once per request and
+// keep that epoch alive until the response is built.
 //
 // The router holds a pointer to the Platform, which must outlive any
 // server using the router. Platform state is immutable after

@@ -92,7 +92,9 @@ Status Platform::run_pipeline(data::Dataset full,
     return miner.status();
   full_ = std::move(full);
 
-  // Phase 1: window restriction + active-user selection.
+  // Phase 1: window restriction + active-user selection. Neither copies
+  // the corpus: shards wholly inside the window are shared by pointer,
+  // only users with records across a window edge get sliced columns.
   const auto phase1_start = Clock::now();
   data::Dataset windowed =
       full_.filter_time_range(config_.experiment_start, config_.experiment_end);

@@ -1,8 +1,6 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
-#include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "geo/kernels.hpp"
@@ -112,42 +110,56 @@ std::vector<std::pair<std::string, std::size_t>> Dataset::monthly_counts() const
   return out;
 }
 
-std::size_t Dataset::active_days(UserId user, std::int64_t from, std::int64_t to) const {
-  std::set<std::int64_t> days;
-  for (const std::int64_t timestamp : checkins_for(user).timestamps()) {
-    if (timestamp < from) continue;
-    if (to != 0 && timestamp >= to) continue;
-    days.insert(day_index(timestamp));
+namespace {
+
+/// The sub-span of sorted `timestamps` inside [from, to) (empty when
+/// to <= from).
+std::span<const std::int64_t> window(std::span<const std::int64_t> timestamps,
+                                     std::int64_t from, std::int64_t to) {
+  const auto begin = std::lower_bound(timestamps.begin(), timestamps.end(), from);
+  const auto end = std::lower_bound(begin, timestamps.end(), to);
+  return {begin, end};
+}
+
+/// Days with a record in the time-sorted `timestamps`; with `max_gap`
+/// > 0, only days holding two consecutive records at most that many
+/// seconds apart (the paper's richness rule). Days never decrease along
+/// the column, so a day is new exactly when it differs from the last one
+/// counted: one pass, no set.
+std::size_t qualifying_days(std::span<const std::int64_t> timestamps, std::int64_t max_gap) {
+  std::size_t days = 0;
+  std::int64_t last_counted = 0;
+  std::int64_t prev_day = 0;
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    const std::int64_t day = day_index(timestamps[i]);
+    const bool close =
+        i > 0 && day == prev_day && timestamps[i] - timestamps[i - 1] <= max_gap;
+    prev_day = day;
+    if (days > 0 && day == last_counted) continue;
+    if (max_gap > 0 && !close) continue;
+    ++days;
+    last_counted = day;
   }
-  return days.size();
+  return days;
+}
+
+bool qualifies(std::span<const std::int64_t> timestamps, const ActiveUserCriteria& criteria) {
+  const std::size_t days = qualifying_days(window(timestamps, criteria.from, criteria.to),
+                                           criteria.max_gap_seconds);
+  return static_cast<int>(days) > criteria.min_days;
+}
+
+}  // namespace
+
+std::size_t Dataset::active_days(UserId user, std::int64_t from, std::int64_t to) const {
+  const auto timestamps = checkins_for(user).timestamps();
+  const auto begin = std::lower_bound(timestamps.begin(), timestamps.end(), from);
+  const auto end = to == 0 ? timestamps.end() : std::lower_bound(begin, timestamps.end(), to);
+  return qualifying_days({begin, end}, 0);
 }
 
 bool Dataset::is_active_user(UserId user, const ActiveUserCriteria& criteria) const {
-  const auto timestamps = checkins_for(user).timestamps();
-  // Count qualifying days. Records are time-sorted, so a single pass
-  // suffices: a day qualifies when the gap rule is disabled (any record)
-  // or when two consecutive records on that day are close enough.
-  std::set<std::int64_t> qualifying;
-  std::int64_t prev_time = 0;
-  std::int64_t prev_day = -1;
-  bool have_prev = false;
-  for (const std::int64_t timestamp : timestamps) {
-    if (timestamp < criteria.from || timestamp >= criteria.to) {
-      have_prev = false;
-      continue;
-    }
-    const std::int64_t day = day_index(timestamp);
-    if (criteria.max_gap_seconds <= 0) {
-      qualifying.insert(day);
-    } else if (have_prev && prev_day == day &&
-               timestamp - prev_time <= criteria.max_gap_seconds) {
-      qualifying.insert(day);
-    }
-    prev_time = timestamp;
-    prev_day = day;
-    have_prev = true;
-  }
-  return static_cast<int>(qualifying.size()) > criteria.min_days;
+  return qualifies(checkins_for(user).timestamps(), criteria);
 }
 
 void Dataset::adopt(VenueTablePtr venues, StringPoolPtr pool, NamesPtr names,
@@ -172,58 +184,56 @@ void Dataset::adopt(VenueTablePtr venues, StringPoolPtr pool, NamesPtr names,
   offsets_.push_back(total);
 }
 
-Dataset Dataset::subset(std::vector<CheckIn> keep) const {
-  // `keep` preserves (user, timestamp) order, so shards fall out of a
-  // single grouping pass — no re-sort, and the venue table is shared.
-  std::vector<ShardPtr> shards;
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i <= keep.size(); ++i) {
-    if (i == keep.size() || keep[i].user != keep[begin].user) {
-      auto shard = std::make_shared<UserShard>();
-      shard->user = keep[begin].user;
-      const std::size_t n = i - begin;
-      shard->timestamps.reserve(n);
-      shard->lats.reserve(n);
-      shard->lons.reserve(n);
-      shard->venues.reserve(n);
-      for (std::size_t k = begin; k < i; ++k) {
-        shard->timestamps.push_back(keep[k].timestamp);
-        shard->lats.push_back(keep[k].position.lat);
-        shard->lons.push_back(keep[k].position.lon);
-        shard->venues.push_back(keep[k].venue);
-      }
-      shards.push_back(std::move(shard));
-      begin = i;
-    }
-  }
+Dataset Dataset::sharing(std::vector<ShardPtr> shards) const {
   Dataset out;
   out.adopt(venues_, name_pool_, names_, std::move(shards), geo::BoundingBox{});
   return out;
 }
 
 Dataset Dataset::filter_time_range(std::int64_t from, std::int64_t to) const {
-  std::vector<CheckIn> keep;
-  for (const CheckIn& c : checkins()) {
-    if (c.timestamp >= from && c.timestamp < to) keep.push_back(c);
+  // Each shard's records inside [from, to) are one contiguous run of its
+  // time-sorted columns: share the shard when the run is all of it,
+  // slice the four columns when it is part, drop the user when empty.
+  std::vector<ShardPtr> shards;
+  shards.reserve(shards_.size());
+  for (const ShardPtr& shard : shards_) {
+    const auto in_window = window(shard->timestamps, from, to);
+    if (in_window.empty()) continue;
+    if (in_window.size() == shard->size()) {
+      shards.push_back(shard);
+      continue;
+    }
+    const auto begin = in_window.data() - shard->timestamps.data();
+    const auto end = begin + static_cast<std::ptrdiff_t>(in_window.size());
+    auto slice = std::make_shared<UserShard>();
+    slice->user = shard->user;
+    slice->timestamps.assign(in_window.begin(), in_window.end());
+    slice->lats.assign(shard->lats.begin() + begin, shard->lats.begin() + end);
+    slice->lons.assign(shard->lons.begin() + begin, shard->lons.begin() + end);
+    slice->venues.assign(shard->venues.begin() + begin, shard->venues.begin() + end);
+    shards.push_back(std::move(slice));
   }
-  return subset(std::move(keep));
+  return sharing(std::move(shards));
 }
 
 Dataset Dataset::filter_active_users(const ActiveUserCriteria& criteria) const {
-  std::vector<UserId> selected;
-  for (const UserId user : users_) {
-    if (is_active_user(user, criteria)) selected.push_back(user);
+  std::vector<ShardPtr> shards;
+  for (const ShardPtr& shard : shards_) {
+    if (qualifies(shard->timestamps, criteria)) shards.push_back(shard);
   }
-  return filter_users(selected);
+  return sharing(std::move(shards));
 }
 
 Dataset Dataset::filter_users(std::span<const UserId> users) const {
-  const std::unordered_set<UserId> wanted(users.begin(), users.end());
-  std::vector<CheckIn> keep;
-  for (const CheckIn& c : checkins()) {
-    if (wanted.contains(c.user)) keep.push_back(c);
+  std::vector<UserId> wanted(users.begin(), users.end());
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  std::vector<ShardPtr> shards;
+  shards.reserve(wanted.size());
+  for (const UserId user : wanted) {
+    if (ShardPtr shard = shard_for(user)) shards.push_back(std::move(shard));
   }
-  return subset(std::move(keep));
+  return sharing(std::move(shards));
 }
 
 const Venue* DatasetBuilder::venue_at(VenueId id) const noexcept {

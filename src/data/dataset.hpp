@@ -403,14 +403,17 @@ class Dataset {
   /// True when `user` satisfies `criteria` (see ActiveUserCriteria).
   [[nodiscard]] bool is_active_user(UserId user, const ActiveUserCriteria& criteria) const;
 
-  /// New dataset restricted to [from, to) epoch seconds.
+  /// New dataset restricted to [from, to) epoch seconds. A shard wholly
+  /// inside the window is shared by pointer, one partly inside is
+  /// sliced column by column, and a user with nothing inside is dropped.
   [[nodiscard]] Dataset filter_time_range(std::int64_t from, std::int64_t to) const;
 
   /// New dataset keeping only users satisfying `criteria` (all their
-  /// records, not just those inside the window).
+  /// records, not just those inside the window); shards are shared.
   [[nodiscard]] Dataset filter_active_users(const ActiveUserCriteria& criteria) const;
 
-  /// New dataset keeping only the given users.
+  /// New dataset keeping only the given users (order and duplicates in
+  /// `users` do not matter; unknown ids are ignored); shards are shared.
   [[nodiscard]] Dataset filter_users(std::span<const UserId> users) const;
 
  private:
@@ -434,10 +437,10 @@ class Dataset {
     return c;
   }
 
-  /// Subset sharing this dataset's venue table and name pool: `keep`
-  /// holds the records in (user, timestamp) order (any stable
-  /// subsequence of checkins() qualifies).
-  [[nodiscard]] Dataset subset(std::vector<CheckIn> keep) const;
+  /// Dataset over `shards` (user-sorted, each shared with this dataset
+  /// or sliced from one of its shards) sharing this dataset's venue
+  /// table and name pool; the bounds are derived from the shards.
+  [[nodiscard]] Dataset sharing(std::vector<ShardPtr> shards) const;
 
   VenueTablePtr venues_;             // null == empty table
   StringPoolPtr name_pool_;          // shared, append-only (null == default-constructed)

@@ -252,9 +252,13 @@ Status IngestWorker::recover_from_store() {
   }
   // The flat corpus was replaced wholesale (checkpoint) and extended
   // (WAL replay); re-index the live dataset from it through the same
-  // builder the epochs use, so there is exactly one merge path.
-  const Status reindexed = rebuild_live_from_flat();
-  if (!reindexed.is_ok()) return reindexed;
+  // builder the epochs use, so there is exactly one merge path. An empty
+  // store changed nothing: live_ already is the base dataset, sharing
+  // its shards, so re-indexing it would only copy the corpus.
+  if (recovered.checkpoint.has_value() || !recovered.records.empty()) {
+    const Status reindexed = rebuild_live_from_flat();
+    if (!reindexed.is_ok()) return reindexed;
+  }
 
   // Resume the epoch counter past everything disk has seen, so the
   // first published epoch after restart is strictly newer than any a

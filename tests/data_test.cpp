@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/categories.hpp"
 #include "data/csv.hpp"
 #include "data/dataset.hpp"
 #include "data/dataset_io.hpp"
+#include "synth/generator.hpp"
 #include "util/civil_time.hpp"
 #include "util/rng.hpp"
 
@@ -273,6 +278,287 @@ TEST(DatasetTest, FilterActiveUsers) {
   const Dataset active = d.filter_active_users(criteria);
   EXPECT_EQ(active.user_count(), 1u);
   EXPECT_EQ(active.users()[0], 5u);
+}
+
+// ------------------------------------------------- Filter oracle
+
+// The record-at-a-time recipe the columnar filters replaced, kept as
+// the reference: materialize every check-in, filter, regroup per user,
+// and count days through a std::set.
+
+struct Regrouped {
+  std::vector<UserId> users;
+  std::vector<std::vector<CheckIn>> records;  ///< parallel to users
+  geo::BoundingBox bounds;
+  std::size_t count = 0;
+};
+
+Regrouped regroup(const Dataset& d, const std::function<bool(const CheckIn&)>& keep) {
+  Regrouped out;
+  for (const CheckIn& c : d.checkins()) {
+    if (!keep(c)) continue;
+    if (out.users.empty() || out.users.back() != c.user) {
+      out.users.push_back(c.user);
+      out.records.emplace_back();
+    }
+    out.records.back().push_back(c);
+    out.bounds.extend(c.position);
+    ++out.count;
+  }
+  return out;
+}
+
+std::size_t reference_active_days(const Dataset& d, UserId user, std::int64_t from,
+                                  std::int64_t to) {
+  std::set<std::int64_t> days;
+  for (const CheckIn& c : d.checkins_for(user)) {
+    if (c.timestamp < from || (to != 0 && c.timestamp >= to)) continue;
+    days.insert(day_index(c.timestamp));
+  }
+  return days.size();
+}
+
+bool reference_is_active(const Dataset& d, UserId user, const ActiveUserCriteria& criteria) {
+  std::set<std::int64_t> qualifying;
+  std::int64_t prev_time = 0;
+  std::int64_t prev_day = -1;
+  bool have_prev = false;
+  for (const CheckIn& c : d.checkins_for(user)) {
+    if (c.timestamp < criteria.from || c.timestamp >= criteria.to) {
+      have_prev = false;
+      continue;
+    }
+    const std::int64_t day = day_index(c.timestamp);
+    if (criteria.max_gap_seconds <= 0 ||
+        (have_prev && prev_day == day && c.timestamp - prev_time <= criteria.max_gap_seconds))
+      qualifying.insert(day);
+    prev_time = c.timestamp;
+    prev_day = day;
+    have_prev = true;
+  }
+  return static_cast<int>(qualifying.size()) > criteria.min_days;
+}
+
+/// `got` holds exactly the reference's users, records (every column)
+/// and bounds, and shares `source`'s venue table and names.
+void expect_matches(const Dataset& got, const Regrouped& want, const Dataset& source) {
+  ASSERT_EQ(std::vector<UserId>(got.users().begin(), got.users().end()), want.users);
+  EXPECT_EQ(got.checkin_count(), want.count);
+  EXPECT_EQ(got.bounds(), want.bounds);
+  EXPECT_EQ(got.venue_table(), source.venue_table());
+  EXPECT_EQ(got.names(), source.names());
+  for (std::size_t i = 0; i < want.users.size(); ++i) {
+    const auto columns = got.checkins_for(want.users[i]);
+    ASSERT_EQ(columns.size(), want.records[i].size()) << "user " << want.users[i];
+    for (std::size_t k = 0; k < columns.size(); ++k)
+      EXPECT_EQ(columns[k], want.records[i][k]) << "user " << want.users[i] << " record " << k;
+  }
+  // The (user, timestamp) view walks the same records.
+  std::size_t k = 0;
+  for (const std::vector<CheckIn>& records : want.records) {
+    for (const CheckIn& c : records) EXPECT_EQ(got.checkins()[k++], c);
+  }
+}
+
+/// Random corpus of 120 users with bursts of records: a third drawn
+/// inside [from, to), a third across both edges, a third after `to`.
+/// Users of the middle third each have one record exactly on `from` or
+/// on `to`.
+Dataset random_corpus(std::int64_t from, std::int64_t to, std::uint64_t seed) {
+  Rng rng(seed);
+  DatasetBuilder builder;
+  const auto category_of = [](VenueId venue) { return venue % 2 == 0 ? thai() : office(); };
+  for (VenueId v = 0; v < 16; ++v) {
+    EXPECT_TRUE(builder
+                    .add_venue(make_venue(v, category_of(v), rng.uniform(40.6, 40.9),
+                                          rng.uniform(-74.1, -73.8)))
+                    .is_ok());
+  }
+  const std::int64_t span = to - from;
+  for (UserId user = 1; user <= 120; ++user) {
+    const bool straddles = user % 3 == 0;
+    const std::int64_t lo = user % 3 == 1 ? from : straddles ? from - span : to + 1;
+    const std::int64_t hi = user % 3 == 1 ? to - 1 : to + span;
+    const auto records = rng.uniform_int(1, 60);
+    for (std::int64_t r = 0; r < records; ++r) {
+      std::int64_t t = rng.uniform_int(lo, hi);
+      if (r == 0 && straddles) t = user % 2 == 0 ? from : to;
+      const auto venue = static_cast<VenueId>(rng.uniform_int(0, 15));
+      const double lat = 40.6 + 0.01 * static_cast<double>(venue);
+      const double lon = -74.0 + 0.01 * static_cast<double>(user % 7);
+      EXPECT_TRUE(builder.add_checkin(make_checkin(user, venue, category_of(venue), t, lat, lon))
+                      .is_ok());
+      // Bursts: a second record 10 min to 3 h later on most draws.
+      if (rng.uniform() < 0.7) {
+        const std::int64_t later = t + rng.uniform_int(600, 3 * 3600);
+        EXPECT_TRUE(
+            builder.add_checkin(make_checkin(user, venue, category_of(venue), later)).is_ok());
+      }
+    }
+  }
+  return builder.build();
+}
+
+TEST(DatasetFilterOracleTest, TimeRangeMatchesMaterializeFilterRegroup) {
+  const std::int64_t from = to_epoch_seconds({2012, 4, 1, 0, 0, 0});
+  const std::int64_t to = to_epoch_seconds({2012, 5, 11, 0, 0, 0});
+  const Dataset d = random_corpus(from, to, 7);
+  const Dataset filtered = d.filter_time_range(from, to);
+  expect_matches(filtered,
+                 regroup(d, [&](const CheckIn& c) { return c.timestamp >= from && c.timestamp < to; }),
+                 d);
+  std::size_t shared = 0;
+  std::size_t sliced = 0;
+  for (const UserId user : d.users()) {
+    const auto timestamps = d.checkins_for(user).timestamps();
+    const bool inside = timestamps.front() >= from && timestamps.back() < to;
+    const bool outside = timestamps.back() < from || timestamps.front() >= to;
+    if (inside) {
+      EXPECT_EQ(filtered.shard_for(user), d.shard_for(user)) << "user " << user;
+      ++shared;
+    } else if (outside) {
+      EXPECT_EQ(filtered.shard_for(user), nullptr) << "user " << user;
+    } else {
+      EXPECT_NE(filtered.shard_for(user), d.shard_for(user)) << "user " << user;
+      ++sliced;
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(sliced, 0u);
+}
+
+TEST(DatasetFilterOracleTest, TimeRangeEdgesAreHalfOpen) {
+  DatasetBuilder builder;
+  ASSERT_TRUE(builder.add_venue(make_venue(0, thai())).is_ok());
+  const std::int64_t from = 1'000'000;
+  const std::int64_t to = 2'000'000;
+  for (const std::int64_t t : {from - 1, from, from + 1, to - 1, to, to + 1})
+    ASSERT_TRUE(builder.add_checkin(make_checkin(1, 0, thai(), t)).is_ok());
+  ASSERT_TRUE(builder.add_checkin(make_checkin(2, 0, thai(), to)).is_ok());    // only on `to`
+  ASSERT_TRUE(builder.add_checkin(make_checkin(3, 0, thai(), from)).is_ok());  // only on `from`
+  const Dataset d = builder.build();
+  const Dataset filtered = d.filter_time_range(from, to);
+  const auto kept = filtered.checkins_for(1).timestamps();
+  EXPECT_EQ(std::vector<std::int64_t>(kept.begin(), kept.end()),
+            (std::vector<std::int64_t>{from, from + 1, to - 1}));
+  EXPECT_EQ(filtered.shard_for(2), nullptr);
+  EXPECT_EQ(filtered.shard_for(3), d.shard_for(3));
+  // An empty or inverted window keeps nothing.
+  EXPECT_TRUE(d.filter_time_range(to, from).empty());
+  EXPECT_TRUE(d.filter_time_range(from, from).empty());
+  EXPECT_EQ(d.filter_time_range(from, from).bounds(), geo::BoundingBox{});
+}
+
+TEST(DatasetFilterOracleTest, ActiveUsersMatchSetCountingForEveryRule) {
+  const std::int64_t from = to_epoch_seconds({2012, 4, 1, 0, 0, 0});
+  const std::int64_t to = to_epoch_seconds({2012, 5, 11, 0, 0, 0});
+  const Dataset d = random_corpus(from, to, 11);
+  const Dataset windowed = d.filter_time_range(from, to);
+  for (const std::int64_t gap : {std::int64_t{0}, std::int64_t{3600}, std::int64_t{2 * 3600}}) {
+    for (const int min_days : {0, 3, 8, 15}) {
+      ActiveUserCriteria criteria;
+      criteria.from = from;
+      criteria.to = to;
+      criteria.max_gap_seconds = gap;
+      criteria.min_days = min_days;
+      for (const Dataset* source : {&d, &windowed}) {
+        std::size_t selected = 0;
+        for (const UserId user : source->users()) {
+          const bool want = reference_is_active(*source, user, criteria);
+          EXPECT_EQ(source->is_active_user(user, criteria), want)
+              << "user " << user << " gap " << gap << " min_days " << min_days;
+          selected += want ? 1 : 0;
+        }
+        const Dataset active = source->filter_active_users(criteria);
+        expect_matches(active,
+                       regroup(*source,
+                               [&](const CheckIn& c) {
+                                 return reference_is_active(*source, c.user, criteria);
+                               }),
+                       *source);
+        for (const UserId user : active.users())
+          EXPECT_EQ(active.shard_for(user), source->shard_for(user));
+        EXPECT_EQ(active.user_count(), selected);
+      }
+    }
+  }
+}
+
+TEST(DatasetFilterOracleTest, MinDaysBoundaryIsStrict) {
+  // Exactly N qualifying days passes min_days = N - 1 and fails N.
+  DatasetBuilder builder;
+  ASSERT_TRUE(builder.add_venue(make_venue(0, thai())).is_ok());
+  const std::int64_t start = to_epoch_seconds({2012, 4, 2, 9, 0, 0});
+  for (int day = 0; day < 5; ++day) {
+    const std::int64_t t = start + day * 86400;
+    ASSERT_TRUE(builder.add_checkin(make_checkin(1, 0, thai(), t)).is_ok());
+    ASSERT_TRUE(builder.add_checkin(make_checkin(1, 0, thai(), t + 1800)).is_ok());
+    // A third record the same day must not count the day twice; its
+    // gap (1801 s) leaves the first pair as the only one that qualifies.
+    ASSERT_TRUE(builder.add_checkin(make_checkin(1, 0, thai(), t + 3601)).is_ok());
+  }
+  const Dataset d = builder.build();
+  // A gap equal to max_gap_seconds still qualifies the day.
+  for (const std::int64_t gap : {std::int64_t{0}, std::int64_t{1800}}) {
+    ActiveUserCriteria criteria;
+    criteria.from = start - 86400;
+    criteria.to = start + 10 * 86400;
+    criteria.max_gap_seconds = gap;
+    criteria.min_days = 4;
+    EXPECT_TRUE(d.is_active_user(1, criteria)) << "gap " << gap;
+    EXPECT_EQ(d.filter_active_users(criteria).shard_for(1), d.shard_for(1));
+    criteria.min_days = 5;
+    EXPECT_FALSE(d.is_active_user(1, criteria)) << "gap " << gap;
+    EXPECT_TRUE(d.filter_active_users(criteria).empty());
+  }
+}
+
+TEST(DatasetFilterOracleTest, ActiveDaysMatchSetCounting) {
+  const std::int64_t from = to_epoch_seconds({2012, 4, 1, 0, 0, 0});
+  const std::int64_t to = to_epoch_seconds({2012, 5, 11, 0, 0, 0});
+  const Dataset d = random_corpus(from, to, 13);
+  for (const UserId user : d.users()) {
+    for (const auto& [lo, hi] : {std::pair<std::int64_t, std::int64_t>{0, 0},
+                                 {from, 0}, {0, to}, {from, to}, {to, from}}) {
+      EXPECT_EQ(d.active_days(user, lo, hi), reference_active_days(d, user, lo, hi))
+          << "user " << user << " [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(DatasetFilterOracleTest, FilterUsersSharesShards) {
+  const std::int64_t from = to_epoch_seconds({2012, 4, 1, 0, 0, 0});
+  const Dataset d = random_corpus(from, from + 30 * 86400, 17);
+  // Unsorted, duplicated, and one unknown id.
+  const std::vector<UserId> wanted{90, 3, 47, 3, 100'000, 12};
+  const Dataset filtered = d.filter_users(wanted);
+  expect_matches(filtered, regroup(d, [&](const CheckIn& c) {
+                   return std::find(wanted.begin(), wanted.end(), c.user) != wanted.end();
+                 }),
+                 d);
+  for (const UserId user : filtered.users()) EXPECT_EQ(filtered.shard_for(user), d.shard_for(user));
+}
+
+TEST(DatasetFilterOracleTest, SynthCorpusPhaseOneMatchesReference) {
+  const auto corpus = synth::small_corpus(42);
+  ASSERT_TRUE(corpus.is_ok());
+  const Dataset& d = corpus->dataset;
+  ActiveUserCriteria criteria;
+  criteria.from = to_epoch_seconds({2012, 4, 1, 0, 0, 0});
+  criteria.to = to_epoch_seconds({2012, 7, 1, 0, 0, 0});
+  criteria.min_days = 20;
+  const Dataset windowed = d.filter_time_range(criteria.from, criteria.to);
+  expect_matches(windowed, regroup(d, [&](const CheckIn& c) {
+                   return c.timestamp >= criteria.from && c.timestamp < criteria.to;
+                 }),
+                 d);
+  const Dataset active = windowed.filter_active_users(criteria);
+  expect_matches(active, regroup(windowed, [&](const CheckIn& c) {
+                   return reference_is_active(windowed, c.user, criteria);
+                 }),
+                 windowed);
+  EXPECT_GT(active.user_count(), 0u);
+  EXPECT_LT(active.user_count(), windowed.user_count());
 }
 
 // -------------------------------------------------------------------- CSV

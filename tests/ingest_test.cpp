@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -302,6 +303,48 @@ TEST(IngestWorkerTest, GuestIdsAreDistinctAndOutsideCorpusRange) {
   const data::UserId b = worker->allocate_guest_id();
   EXPECT_NE(a, b);
   EXPECT_GE(a, 3'000'000'000u);
+}
+
+TEST(IngestWorkerTest, EmptyStoreStartSharesEveryBaseShard) {
+  // A store with no checkpoint and no WAL record changes nothing, so
+  // epoch 1 is the base dataset itself: no shard is re-indexed or copied.
+  const core::Platform& platform = test_platform();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "crowdweb_ingest_test_empty_store";
+  std::filesystem::remove_all(dir);
+  ingest::IngestWorkerConfig config;
+  config.store.dir = dir.string();
+  auto stored = core::make_ingest_worker(platform, config);
+  ASSERT_TRUE(stored->start().is_ok());
+  auto plain = core::make_ingest_worker(platform);
+  ASSERT_TRUE(plain->start().is_ok());
+
+  const ingest::SnapshotPtr snapshot = stored->hub().current();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->epoch, 1u);
+  const data::Dataset& base = platform.experiment_dataset();
+  ASSERT_EQ(snapshot->dataset.user_count(), base.user_count());
+  for (const data::UserId user : base.users())
+    EXPECT_EQ(snapshot->dataset.shard_for(user), base.shard_for(user)) << "user " << user;
+  EXPECT_EQ(snapshot->dataset.venue_table(), base.venue_table());
+
+  // The stored worker serves the bytes of a worker with no store.
+  const http::Router stored_api = core::make_api_router(platform, {stored.get(), nullptr});
+  const http::Router plain_api = core::make_api_router(platform, {plain.get(), nullptr});
+  const int windows = platform.crowd_model().window_count();
+  for (int window = 0; window < windows; ++window) {
+    http::Request request;
+    request.method = "GET";
+    request.path = "/api/crowd/" + std::to_string(window);
+    request.version = "HTTP/1.1";
+    const http::Response a = stored_api.dispatch(request);
+    const http::Response b = plain_api.dispatch(request);
+    EXPECT_EQ(a.status, 200) << request.path;
+    EXPECT_EQ(a.body, b.body) << request.path;
+  }
+  stored->stop();
+  plain->stop();
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------ CSV bodies
