@@ -21,19 +21,20 @@
 // neither helps nor hurts there; see docs/PERFORMANCE.md.
 //
 // For each corpus scale (1x/10x, plus 100x outside --smoke) this bench
-// mines every user's sequence database with prefixspan, bide, and
-// clospan at min_support {0.25, 0.50, 0.75}, recording pattern-set
-// size, wall time, and pattern-set bytes; it also times bide+expand and
+// mines every user's sequence database with prefixspan and bide at
+// min_support {0.25, 0.50, 0.75}, recording pattern-set size, wall
+// time, and pattern-set bytes; it also times bide+expand and
 // cross-checks that the expanded set equals PrefixSpan's output
 // exactly. Emits BENCH_mining.json (override with --out).
 //
 // It then compares the two *serving* modes end-to-end — expanded tables
-// vs the compact MobilityTable (closed set + placement index, see
-// src/patterns/mobility.hpp) — on a dense check-in corpus and on the
-// sparse paper-calibrated one, recording resident table bytes, mine
-// time (total and per user) and crowd build time for both and asserting
-// the crowd models are value-identical (the closed-mode tentpole
-// invariant; this is the CI smoke gate).
+// vs the compact MobilityTable (closed set instead of the full set; both
+// carry the placement index, see src/patterns/mobility.hpp) — on a
+// dense check-in corpus and on the sparse paper-calibrated one,
+// recording resident table bytes, mine time (total and per user) and
+// crowd build time for both and asserting the crowd models are
+// value-identical (the closed-mode invariant; this is the CI smoke
+// gate).
 //
 // Recorded acceptance bars (asserted in full mode; smoke asserts only
 // the deterministic set-size and equality properties, not timings):
@@ -330,7 +331,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<const char*, std::size_t>> scales{{"1x", 100}, {"10x", 1'000}};
   if (!args.smoke) scales.push_back({"100x", 10'000});
 
-  std::printf("=== Mining: closed (bide/clospan) vs full (prefixspan) pattern sets ===\n");
+  std::printf("=== Mining: closed (bide) vs full (prefixspan) pattern sets ===\n");
   std::printf("mode: %s, supports {0.25, 0.50, 0.75}\n\n", args.smoke ? "smoke" : "full");
 
   json::Value corpora = json::Value(json::Array{});
@@ -357,7 +358,6 @@ int main(int argc, char** argv) {
     for (const double support : supports) {
       const SweepResult frequent = sweep(users, "prefixspan", support, false);
       const SweepResult closed = sweep(users, "bide", support, false);
-      const SweepResult closed_cs = sweep(users, "clospan", support, false);
       const SweepResult expanded = sweep(users, "bide", support, true);
 
       const auto row = [&](const char* miner, const SweepResult& r) {
@@ -366,7 +366,6 @@ int main(int argc, char** argv) {
       };
       row("prefixspan", frequent);
       row("bide", closed);
-      row("clospan", closed_cs);
       row("bide+expand", expanded);
 
       // The closed set must reproduce the frequent set exactly —
@@ -389,10 +388,6 @@ int main(int argc, char** argv) {
            {"bide", json::object({{"patterns", static_cast<std::int64_t>(closed.patterns)},
                                   {"bytes", static_cast<std::int64_t>(closed.bytes)},
                                   {"ms", closed.ms}})},
-           {"clospan",
-            json::object({{"patterns", static_cast<std::int64_t>(closed_cs.patterns)},
-                          {"bytes", static_cast<std::int64_t>(closed_cs.bytes)},
-                          {"ms", closed_cs.ms}})},
            {"bide_expand",
             json::object({{"patterns", static_cast<std::int64_t>(expanded.patterns)},
                           {"bytes", static_cast<std::int64_t>(expanded.bytes)},
@@ -406,12 +401,14 @@ int main(int argc, char** argv) {
                                     {"sweeps", std::move(sweeps)}}));
   }
 
-  // End-to-end serving modes: the compact MobilityTable (closed set +
-  // placement index) vs the expanded table, on the regime compaction is
-  // for (dense telemetry) and the regime it is not (the paper-calibrated
-  // sparse check-in corpus — expected near or below 1x, documented in
-  // docs/PERFORMANCE.md). The crowd-equality bit is the CI smoke gate
-  // for the tentpole invariant.
+  // End-to-end serving modes: the compact MobilityTable (closed set) vs
+  // the expanded table, both with the same placement index, on the
+  // regime compaction is for (dense telemetry) and the regime it is not
+  // (the paper-calibrated sparse check-in corpus, where almost every
+  // frequent pattern is closed — expected near 1x, never below, see
+  // docs/PERFORMANCE.md). The crowd-equality bit compares placement from
+  // the walk-built index against the sweep-built one; it is the CI smoke
+  // gate for the single placement path.
   bool crowd_equal_all = true;
   double dense_table_ratio = 0.0;
   json::Value serving_modes = json::Value(json::Array{});

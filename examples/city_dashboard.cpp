@@ -20,7 +20,7 @@
 // Run:  ./city_dashboard [--seed N] [--port P] [--paper-scale] [--offline DIR]
 //                        [--shards N] [--store-dir DIR [--fsync every_batch|interval|never]]
 //                        [--http-workers N] [--http-cache-mb MB]
-//                        [--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F]
+//                        [--miner prefixspan|gsp|spade|naive|bide] [--min-support F]
 //                        [--expand-closed 0|1]
 
 #include <csignal>
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
                  "[--data DIR] [--shards N] "
                  "[--store-dir DIR [--fsync every_batch|interval|never]] "
                  "[--http-workers N] [--http-cache-mb MB] "
-                 "[--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F] "
+                 "[--miner prefixspan|gsp|spade|naive|bide] [--min-support F] "
                  "[--expand-closed 0|1]\n",
                  argv[0]);
     return 2;

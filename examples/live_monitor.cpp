@@ -24,7 +24,7 @@
 //                      [--transport csv|binary] [--spool-dir DIR]
 //                      [--store-dir DIR [--fsync every_batch|interval|never]]
 //                      [--http-workers N] [--http-cache-mb MB]
-//                      [--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F]
+//                      [--miner prefixspan|gsp|spade|naive|bide] [--min-support F]
 //                      [--expand-closed 0|1]
 
 #include <algorithm>
@@ -65,7 +65,7 @@ int usage(const char* name) {
                "[--transport csv|binary] [--spool-dir DIR] "
                "[--store-dir DIR [--fsync every_batch|interval|never]] "
                "[--http-workers N] [--http-cache-mb MB] "
-               "[--miner prefixspan|gsp|spade|naive|bide|clospan] [--min-support F] "
+               "[--miner prefixspan|gsp|spade|naive|bide] [--min-support F] "
                "[--expand-closed 0|1]\n",
                name);
   return 2;

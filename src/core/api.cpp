@@ -158,20 +158,15 @@ Response user_patterns_handler(const Platform& platform, const PathParams& param
   const patterns::UserMobility* mobility =
       platform.user_mobility(static_cast<data::UserId>(*id));
   if (mobility == nullptr) return Response::not_found_404();
+  // The route's wire contract is the full frequent set; compact entries
+  // expand lazily per request (the response cache absorbs repeats), so
+  // the body is byte-identical to expanded mode's.
+  const std::vector<patterns::MobilityPattern> expanded = patterns::expand_user_patterns(
+      *mobility, platform.experiment_dataset(), platform.taxonomy(),
+      {platform.config().sequences, platform.config().mining});
   json::Value list = json::Value(json::Array{});
-  if (mobility->closed_only) {
-    // The route's wire contract is the full frequent set; compact
-    // entries expand lazily per request (the response cache absorbs
-    // repeats), so the body is byte-identical to expanded mode's.
-    const std::vector<patterns::MobilityPattern> expanded = patterns::expand_user_patterns(
-        *mobility, platform.sequences_for(static_cast<data::UserId>(*id)),
-        platform.config().mining);
-    for (const patterns::MobilityPattern& pattern : expanded)
-      list.push_back(pattern_json(pattern, platform));
-  } else {
-    for (const patterns::MobilityPattern& pattern : mobility->patterns)
-      list.push_back(pattern_json(pattern, platform));
-  }
+  for (const patterns::MobilityPattern& pattern : expanded)
+    list.push_back(pattern_json(pattern, platform));
   return Response::json(
       200, json::dump(json::object(
                {{"user", static_cast<std::int64_t>(mobility->user)},

@@ -124,11 +124,8 @@ Status Platform::run_pipeline(data::Dataset full,
     }
     mobility_ = std::move(*precomputed);
   } else {
-    patterns::MobilityOptions mobility_options;
-    mobility_options.sequences = config_.sequences;
-    mobility_options.mining = config_.mining;
     mobility_ = patterns::mine_all_mobility_parallel(
-        experiment_, taxonomy(), mobility_options, config_.mining_threads);
+        experiment_, taxonomy(), {config_.sequences, config_.mining}, config_.mining_threads);
   }
   timings_.mining_ms = ms_since(phase2_start);
   observe_stage(config_.metrics, "mining", timings_.mining_ms);
@@ -183,11 +180,9 @@ patterns::PlaceGraph Platform::place_graph(data::UserId user) const {
   // closed set does not preserve, so restricting to it directly would
   // change the rendered graph.
   std::vector<patterns::MobilityPattern> expanded;
-  if (mobility != nullptr && mobility->closed_only) {
+  if (mobility != nullptr) {
     expanded = patterns::expand_user_patterns(*mobility, sequences, config_.mining);
     if (!expanded.empty()) options.restrict_to_patterns = &expanded;
-  } else if (mobility != nullptr && !mobility->patterns.empty()) {
-    options.restrict_to_patterns = &mobility->patterns;
   }
   return patterns::build_place_graph(sequences, taxonomy(), experiment_,
                                      config_.sequences.mode, options);

@@ -1,6 +1,7 @@
 #include "core/snapshot.hpp"
 
 #include <filesystem>
+#include <limits>
 
 #include "data/dataset_io.hpp"
 #include "util/format.hpp"
@@ -31,7 +32,8 @@ json::Value mobility_to_json(std::span<const patterns::UserMobility> mobility) {
       // Compact entries persist their closed-mode sidecar (frequent-set
       // size + placement index) so a restore serves identical bytes
       // without re-expanding. Expanded entries omit the fields entirely,
-      // keeping default-mode snapshots byte-identical to version 1.
+      // keeping default-mode snapshots byte-identical to version 1; the
+      // loader re-derives their index from the stored patterns.
       user_value.set("closed", true);
       user_value.set("frequent_patterns",
                      static_cast<std::int64_t>(user.frequent_patterns));
@@ -42,7 +44,8 @@ json::Value mobility_to_json(std::span<const patterns::UserMobility> mobility) {
              {"minute", static_cast<std::int64_t>(candidate.minute)},
              {"rank", static_cast<std::int64_t>(candidate.rank)},
              {"support_count", static_cast<std::int64_t>(candidate.support_count)},
-             {"support", candidate.support}}));
+             {"support", static_cast<double>(candidate.support_count) /
+                             static_cast<double>(user.recorded_days)}}));
       }
       user_value.set("placement_index", std::move(index));
     }
@@ -59,6 +62,23 @@ Result<const json::Value*> member(const json::Value& value, std::string_view key
   if (found == nullptr)
     return parse_error(crowdweb::format("snapshot: missing field '{}'", key));
   return found;
+}
+
+/// Crowd placement derives a pattern's support as support_count /
+/// recorded_days, so a stored count must lie in [1, days] and a stored
+/// support must be exactly that quotient; anything else (a count over
+/// zero days above all) is a hostile or corrupt file.
+bool valid_support(std::int64_t count, double support, std::size_t days) {
+  return count >= 1 && static_cast<std::uint64_t>(count) <= days &&
+         support == static_cast<double>(count) / static_cast<double>(days);
+}
+
+/// A minute of the day; NaN fails both comparisons.
+bool valid_minute(double minute) { return minute >= 0.0 && minute < 24 * 60; }
+
+/// An integer that fits the 32-bit ids and counts the loader narrows to.
+bool fits_u32(std::int64_t value) {
+  return value >= 0 && value <= std::numeric_limits<std::uint32_t>::max();
 }
 
 }  // namespace
@@ -79,7 +99,8 @@ Result<std::vector<patterns::UserMobility>> mobility_from_json(const json::Value
     auto days = member(user_value, "recorded_days");
     auto pattern_list = member(user_value, "patterns");
     if (!id || !days || !pattern_list) return parse_error("snapshot: malformed user entry");
-    if (!(*id)->is_int() || !(*days)->is_int() || !(*pattern_list)->is_array())
+    if (!(*id)->is_int() || !(*days)->is_int() || !(*pattern_list)->is_array() ||
+        !fits_u32((*id)->as_int()) || (*days)->as_int() < 0)
       return parse_error("snapshot: malformed user entry");
     user.user = static_cast<data::UserId>((*id)->as_int());
     user.recorded_days = static_cast<std::size_t>((*days)->as_int());
@@ -91,7 +112,9 @@ Result<std::vector<patterns::UserMobility>> mobility_from_json(const json::Value
       if (!elements || !support_count || !support)
         return parse_error("snapshot: malformed pattern entry");
       if (!(*elements)->is_array() || !(*support_count)->is_int() ||
-          !(*support)->is_number())
+          !(*support)->is_number() ||
+          !valid_support((*support_count)->as_int(), (*support)->as_double(),
+                         user.recorded_days))
         return parse_error("snapshot: malformed pattern entry");
       pattern.support_count = static_cast<std::size_t>((*support_count)->as_int());
       pattern.support = (*support)->as_double();
@@ -99,7 +122,9 @@ Result<std::vector<patterns::UserMobility>> mobility_from_json(const json::Value
         auto label = member(element_value, "label");
         auto mean = member(element_value, "mean_minute");
         auto stddev = member(element_value, "stddev_minute");
-        if (!label || !mean || !stddev)
+        if (!label || !mean || !stddev || !(*label)->is_int() || !(*mean)->is_number() ||
+            !(*stddev)->is_number() || !fits_u32((*label)->as_int()) ||
+            !valid_minute((*mean)->as_double()))
           return parse_error("snapshot: malformed element entry");
         patterns::TimedElement element;
         element.label = static_cast<mining::Item>((*label)->as_int());
@@ -117,7 +142,7 @@ Result<std::vector<patterns::UserMobility>> mobility_from_json(const json::Value
       auto frequent = member(user_value, "frequent_patterns");
       auto index = member(user_value, "placement_index");
       if (!frequent || !index) return parse_error("snapshot: malformed compact entry");
-      if (!(*frequent)->is_int() || !(*index)->is_array())
+      if (!(*frequent)->is_int() || !(*index)->is_array() || (*frequent)->as_int() < 0)
         return parse_error("snapshot: malformed compact entry");
       user.frequent_patterns = static_cast<std::size_t>((*frequent)->as_int());
       for (const json::Value& candidate_value : (*index)->as_array()) {
@@ -131,14 +156,23 @@ Result<std::vector<patterns::UserMobility>> mobility_from_json(const json::Value
         if (!(*label)->is_int() || !(*minute)->is_int() || !(*rank)->is_int() ||
             !(*count)->is_int() || !(*support)->is_number())
           return parse_error("snapshot: malformed placement candidate");
-        patterns::PlacementCandidate candidate;
-        candidate.label = static_cast<mining::Item>((*label)->as_int());
-        candidate.minute = static_cast<std::uint16_t>((*minute)->as_int());
-        candidate.rank = static_cast<std::uint32_t>((*rank)->as_int());
-        candidate.support_count = static_cast<std::uint32_t>((*count)->as_int());
-        candidate.support = (*support)->as_double();
-        user.placement_index.push_back(candidate);
+        const std::int64_t at = (*minute)->as_int();
+        const std::int64_t order = (*rank)->as_int();
+        const std::int64_t days_with = (*count)->as_int();
+        const std::int64_t previous =
+            user.placement_index.empty()
+                ? -1
+                : static_cast<std::int64_t>(user.placement_index.back().rank);
+        if (at < 0 || at >= 24 * 60 || order <= previous || !fits_u32(order) ||
+            !fits_u32(days_with) || !fits_u32((*label)->as_int()) ||
+            !valid_support(days_with, (*support)->as_double(), user.recorded_days))
+          return parse_error("snapshot: placement candidate out of range");
+        user.placement_index.push_back(
+            {static_cast<mining::Item>((*label)->as_int()), static_cast<std::uint16_t>(at),
+             static_cast<std::uint32_t>(order), static_cast<std::uint32_t>(days_with)});
       }
+    } else {
+      user.placement_index = patterns::placement_index_of(user.patterns);
     }
     out.push_back(std::move(user));
   }

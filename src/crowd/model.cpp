@@ -125,25 +125,34 @@ class RepresentativeVenues {
   std::vector<std::uint16_t> windows_;      ///< window of each record
 };
 
-/// Closed-mode placement: reads the compact per-user index instead of
-/// the expanded pattern set. The index holds, in ascending rank (the
-/// canonical expanded-mode emission order), every (label, minute)
-/// candidate that can win a placement at some threshold; replaying the
-/// expanded path's rules over it — support filter, first-qualifying
-/// (window, label) wins, same venue pick — therefore emits placements
-/// value-identical to the expanded build, in the same order (winners
-/// surface at their winning element's rank in both paths).
-void append_compact_placements(const data::Dataset& dataset,
-                               const patterns::UserMobility& user,
-                               const geo::SpatialGrid& grid, const CrowdOptions& options,
-                               const PlacementTables& tables,
-                               std::vector<std::vector<CrowdPlacement>>& out) {
+/// Appends one user's placements into per-window scratch vectors. The
+/// full build, the parallel chunks, and the incremental update place
+/// users through this single code path, so their outputs agree
+/// element-for-element.
+///
+/// Reads the entry's support-frontier placement index, which holds in
+/// ascending rank (the full pattern set's emission order) every (label,
+/// minute) candidate that can win a placement at some threshold. The
+/// rule is the paper's: skip elements of patterns below
+/// min_pattern_support, the first qualifying element per (window,
+/// label) wins, placed at the user's representative venue for it.
+void append_user_placements(const data::Dataset& dataset, const patterns::UserMobility& user,
+                            const geo::SpatialGrid& grid, const CrowdOptions& options,
+                            const PlacementTables& tables,
+                            std::vector<std::vector<CrowdPlacement>>& out) {
   if (user.placement_index.empty()) return;
   const int windows = static_cast<int>(out.size());
+  const double days = static_cast<double>(user.recorded_days);
+  // Built on the first qualifying candidate: most users never clear the
+  // support threshold, and skipping their index build is most of the
+  // stage's win at scale.
   std::optional<RepresentativeVenues> venues;
+  // A user appears at most once per (window, label): dedupe elements of
+  // different patterns that land in the same window.
   std::set<std::pair<int, mining::Item>> placed;
   for (const patterns::PlacementCandidate& candidate : user.placement_index) {
-    if (candidate.support < options.min_pattern_support) continue;
+    const double support = static_cast<double>(candidate.support_count) / days;
+    if (support < options.min_pattern_support) continue;
     if (!venues) venues.emplace(dataset.checkins_for(user.user), tables);
     const int window = std::clamp(static_cast<int>(candidate.minute) / options.window_minutes,
                                   0, windows - 1);
@@ -158,54 +167,8 @@ void append_compact_placements(const data::Dataset& dataset,
     placement.venue = *venue_id;
     placement.position = venue->position;
     placement.cell = grid.clamped_cell_of(venue->position);
-    placement.pattern_support = candidate.support;
+    placement.pattern_support = support;
     out[static_cast<std::size_t>(window)].push_back(placement);
-  }
-}
-
-/// Appends one user's placements into per-window scratch vectors. The
-/// full build, the parallel chunks, and the incremental update place
-/// users through this single code path, so their outputs agree
-/// element-for-element. Compact (closed-only) entries branch to the
-/// index-driven path, which reproduces this one's output exactly.
-void append_user_placements(const data::Dataset& dataset, const patterns::UserMobility& user,
-                            const geo::SpatialGrid& grid, const CrowdOptions& options,
-                            const PlacementTables& tables,
-                            std::vector<std::vector<CrowdPlacement>>& out) {
-  if (user.closed_only) {
-    append_compact_placements(dataset, user, grid, options, tables, out);
-    return;
-  }
-  if (user.patterns.empty()) return;
-  const int windows = static_cast<int>(out.size());
-  // Built on the first qualifying pattern: most users never clear the
-  // support threshold, and skipping their index build is most of the
-  // stage's win at scale.
-  std::optional<RepresentativeVenues> venues;
-  // A user appears at most once per (window, label): dedupe elements of
-  // different patterns that land in the same window.
-  std::set<std::pair<int, mining::Item>> placed;
-  for (const patterns::MobilityPattern& pattern : user.patterns) {
-    if (pattern.support < options.min_pattern_support) continue;
-    if (!venues) venues.emplace(dataset.checkins_for(user.user), tables);
-    for (const patterns::TimedElement& element : pattern.elements) {
-      const int minute = static_cast<int>(element.mean_minute);
-      const int window =
-          std::clamp(minute / options.window_minutes, 0, windows - 1);
-      if (!placed.insert({window, element.label}).second) continue;
-      const auto venue_id = venues->pick(element.label, window);
-      if (!venue_id) continue;
-      const data::Venue* venue = dataset.venue(*venue_id);
-      if (venue == nullptr) continue;
-      CrowdPlacement placement;
-      placement.user = user.user;
-      placement.label = element.label;
-      placement.venue = *venue_id;
-      placement.position = venue->position;
-      placement.cell = grid.clamped_cell_of(venue->position);
-      placement.pattern_support = pattern.support;
-      out[static_cast<std::size_t>(window)].push_back(placement);
-    }
   }
 }
 

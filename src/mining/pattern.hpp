@@ -84,8 +84,8 @@ struct MiningStats {
   std::size_t emitted = 0;   ///< patterns the miner itself returned
   std::size_t explored = 0;  ///< search nodes / candidates support-counted
   /// Search work cut before counting: BackScan subtrees (BIDE),
-  /// equivalent-projection subtrees (CloSpan), apriori-rejected
-  /// candidates (GSP), and non-closed patterns a closed miner skipped.
+  /// apriori-rejected candidates (GSP), and non-closed patterns a closed
+  /// miner skipped.
   std::size_t pruned = 0;
   /// Frequent patterns reconstructed by expand_closed_patterns from a
   /// closed set — 0 for full miners and for closed mines that were never
@@ -116,7 +116,7 @@ struct MiningOptions {
   /// Hard cap on emitted patterns (safety valve for tiny supports).
   std::size_t max_patterns = 200'000;
   /// Which registered miner the pipeline runs (see mining/registry.hpp):
-  /// "prefixspan" (default), "gsp", "spade", "naive", "bide", "clospan".
+  /// "prefixspan" (default), "gsp", "spade", "naive", "bide".
   /// Carried inside MiningOptions so it flows through MobilityOptions ->
   /// PlatformConfig -> IngestPipelineConfig -> shard workers untouched.
   std::string algorithm = "prefixspan";

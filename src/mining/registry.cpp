@@ -4,7 +4,6 @@
 #include <string>
 
 #include "mining/bide.hpp"
-#include "mining/clospan.hpp"
 #include "mining/gsp.hpp"
 #include "mining/naive.hpp"
 #include "mining/prefixspan.hpp"
@@ -15,8 +14,8 @@ namespace crowdweb::mining {
 namespace {
 
 /// The level-wise and vertical miners still consume the nested format;
-/// copy the columns out for them. The hot-path miners (PrefixSpan, BIDE,
-/// CloSpan) read the columns directly.
+/// copy the columns out for them. The hot-path miners (PrefixSpan, BIDE)
+/// read the columns directly.
 SequenceDb materialize(const SequenceColumns& db) {
   SequenceDb out(db.size());
   for (std::size_t s = 0; s < db.size(); ++s) {
@@ -86,28 +85,14 @@ class BideMiner final : public IMiningAlgorithm {
   }
 };
 
-class ClospanMiner final : public IMiningAlgorithm {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "clospan"; }
-  [[nodiscard]] bool closed_output() const noexcept override { return true; }
-  [[nodiscard]] MiningResult mine(const SequenceColumns& db,
-                                  const MiningOptions& options) const override {
-    MiningResult result;
-    result.patterns = clospan(db, options, &result.stats);
-    return result;
-  }
-};
-
-const std::array<const IMiningAlgorithm*, 6>& all_miners() {
+const std::array<const IMiningAlgorithm*, 5>& all_miners() {
   static const PrefixSpanMiner prefixspan_miner;
   static const GspMiner gsp_miner;
   static const SpadeMiner spade_miner;
   static const NaiveMiner naive_miner_adapter;
   static const BideMiner bide_miner;
-  static const ClospanMiner clospan_miner;
-  static const std::array<const IMiningAlgorithm*, 6> miners = {
-      &prefixspan_miner, &gsp_miner,  &spade_miner,
-      &naive_miner_adapter, &bide_miner, &clospan_miner};
+  static const std::array<const IMiningAlgorithm*, 5> miners = {
+      &prefixspan_miner, &gsp_miner, &spade_miner, &naive_miner_adapter, &bide_miner};
   return miners;
 }
 

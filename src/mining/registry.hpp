@@ -5,7 +5,7 @@
 // shard workers, the /api/mine handler) picks its miner by the string in
 // MiningOptions::algorithm instead of hard-wiring a call, so swapping
 // PrefixSpan for BIDE is a config change, not a rebuild. Closed-output
-// miners (BIDE, CloSpan) declare themselves as such; `mine_with` expands
+// miners (BIDE) declare themselves as such; `mine_with` expands
 // their closed set back to the full frequent set when
 // MiningOptions::expand_closed asks for byte-identical downstream
 // output.

@@ -305,29 +305,49 @@ std::vector<mining::Pattern> closed_set_of(const UserMobility& mobility) {
   return closed;
 }
 
-/// Builds the closed-mode placement index: the elements of the exact
-/// expanded frequent set in canonical (rank) order, each with its
-/// annotated int(mean_minute), keeping per (label, minute) key only the
-/// candidates on the support frontier.
+/// The running-max sweep every placement index comes from. `visit`
+/// calls offer(dense label, minute, support_count) once per element in
+/// rank order, labels dense over s.alphabet; a candidate is kept only
+/// when it strictly raises its key's maximum, so the index comes out in
+/// rank order.
 ///
 /// Why the frontier suffices: the crowd layer places the first element
-/// (pattern-major canonical order = ascending rank) whose pattern
-/// clears min_pattern_support and whose (window, label) key is unseen.
-/// Two candidates with the same (label, minute) map to the same window
-/// under *every* window size, so if an earlier-rank same-key candidate
-/// has support >= a later one's, the earlier qualifies whenever the
-/// later does and always beats it to the dedup set — the later can
-/// never be the placed element, at any threshold or window size. The
-/// expanded-mode winner itself always survives pruning: any same-key
-/// candidate that dominated it would have qualified first in expanded
-/// mode too, contradicting the winner being placed.
-///
-/// The set comes from walk_closed_set, bucketed by length (walk order
-/// within a length is canonical), and one sweep in rank order over a
-/// running-max table per (label, minute) keeps a candidate only when it
-/// strictly raises its key's maximum, so the index comes out in rank
-/// order. A set past max_patterns takes expand_closed_patterns instead,
-/// whose admission order under truncation the walk does not reproduce.
+/// (ascending rank) whose pattern clears min_pattern_support and whose
+/// (window, label) key is unseen. Two candidates with the same (label,
+/// minute) map to the same window under *every* window size, so if an
+/// earlier-rank same-key candidate has support >= a later one's, the
+/// earlier qualifies whenever the later does and always beats it to the
+/// dedup set — the later can never be the placed element, at any
+/// threshold or window size. Every element that would be placed from the
+/// full pattern list survives pruning: any same-key candidate that
+/// dominated it would have qualified first, contradicting its placement.
+template <typename Visit>
+std::vector<PlacementCandidate> sweep_frontier(WalkScratch& s, Visit&& visit) {
+  s.frontier.resize(s.alphabet.size() * kMinutesPerDay);
+  std::vector<PlacementCandidate> kept;
+  std::uint32_t rank = 0;
+  visit([&](std::uint32_t dense, std::uint16_t minute, std::uint32_t support) {
+    std::uint32_t& best = s.frontier[dense * kMinutesPerDay + minute];
+    if (support > best) {
+      best = support;
+      kept.push_back({s.alphabet[dense], minute, rank, support});
+    }
+    ++rank;
+  });
+  // Every raised maximum left a kept candidate behind: reset just those.
+  for (const PlacementCandidate& candidate : kept)
+    s.frontier[dense_of(s, candidate.label) * kMinutesPerDay + candidate.minute] = 0;
+  kept.shrink_to_fit();
+  return kept;
+}
+
+/// Builds a compact entry's placement index: the frontier sweep over the
+/// elements of the exact expanded frequent set in canonical (rank)
+/// order, each with its annotated int(mean_minute). The set comes from
+/// walk_closed_set, bucketed by length (walk order within a length is
+/// canonical). A set past max_patterns takes expand_closed_patterns
+/// instead, whose admission order under truncation the walk does not
+/// reproduce, and sweeps its annotated expansion.
 void build_placement_index(UserMobility& out, std::span<const mining::Pattern> closed,
                            const mining::UserSequences& sequences,
                            const mining::MiningOptions& mining) {
@@ -349,48 +369,32 @@ void build_placement_index(UserMobility& out, std::span<const mining::Pattern> c
         s.support_by_length[path.size()].push_back(support);
       });
 
-  s.frontier.resize(s.alphabet.size() * kMinutesPerDay);
-  const double days = static_cast<double>(sequences.day_count());
-  std::vector<PlacementCandidate> kept;
-  std::uint32_t rank = 0;
-  const auto offer = [&](std::uint32_t dense, std::uint16_t minute, std::uint32_t support) {
-    std::uint32_t& best = s.frontier[dense * kMinutesPerDay + minute];
-    if (support > best) {
-      best = support;
-      kept.push_back({s.alphabet[dense], minute, rank, support,
-                      static_cast<double>(support) / days});
-    }
-    ++rank;
-  };
   if (complete) {
     out.frequent_patterns = patterns;
     out.mining_stats.expanded += patterns;
-    for (std::size_t length = 1; length < s.elements_by_length.size(); ++length) {
-      const auto& elements = s.elements_by_length[length];
-      const auto& supports = s.support_by_length[length];
-      for (std::size_t p = 0; p < supports.size(); ++p)
-        for (std::size_t e = 0; e < length; ++e)
-          offer(elements[p * length + e].first, elements[p * length + e].second, supports[p]);
-    }
-  } else {
-    mining::MiningStats expand_stats;
-    const std::vector<mining::Pattern> full = mining::expand_closed_patterns(
-        closed, sequences.day_count(), mining, &expand_stats);
-    out.mining_stats.expanded += expand_stats.expanded;
-    out.mining_stats.truncated = out.mining_stats.truncated || expand_stats.truncated;
-    out.frequent_patterns = full.size();
-    for (const mining::Pattern& pattern : full) {
-      const MobilityPattern annotated = annotate_pattern(pattern, sequences);
-      for (const TimedElement& element : annotated.elements)
-        offer(dense_of(s, element.label), placement_minute(element.mean_minute),
-              static_cast<std::uint32_t>(pattern.support_count));
-    }
+    out.placement_index = sweep_frontier(s, [&](auto&& offer) {
+      for (std::size_t length = 1; length < s.elements_by_length.size(); ++length) {
+        const auto& elements = s.elements_by_length[length];
+        const auto& supports = s.support_by_length[length];
+        for (std::size_t p = 0; p < supports.size(); ++p)
+          for (std::size_t e = 0; e < length; ++e)
+            offer(elements[p * length + e].first, elements[p * length + e].second,
+                  supports[p]);
+      }
+    });
+    return;
   }
-  // Every raised maximum left a kept candidate behind: reset just those.
-  for (const PlacementCandidate& candidate : kept)
-    s.frontier[dense_of(s, candidate.label) * kMinutesPerDay + candidate.minute] = 0;
-  kept.shrink_to_fit();
-  out.placement_index = std::move(kept);
+  mining::MiningStats expand_stats;
+  const std::vector<mining::Pattern> full = mining::expand_closed_patterns(
+      closed, sequences.day_count(), mining, &expand_stats);
+  out.mining_stats.expanded += expand_stats.expanded;
+  out.mining_stats.truncated = out.mining_stats.truncated || expand_stats.truncated;
+  out.frequent_patterns = full.size();
+  std::vector<MobilityPattern> annotated;
+  annotated.reserve(full.size());
+  for (const mining::Pattern& pattern : full)
+    annotated.push_back(annotate_pattern(pattern, sequences));
+  out.placement_index = placement_index_of(annotated);
 }
 
 }  // namespace
@@ -410,6 +414,8 @@ UserMobility mine_user_mobility(const mining::UserSequences& sequences,
   if (mined.closed) {
     out.closed_only = true;
     build_placement_index(out, mined.patterns, sequences, mining);
+  } else {
+    out.placement_index = placement_index_of(out.patterns);
   }
   return out;
 }
@@ -422,6 +428,21 @@ UserMobility mine_user_mobility(const data::Dataset& dataset, data::UserId user,
       options.mining);
   out.user = user;
   return out;
+}
+
+std::vector<PlacementCandidate> placement_index_of(std::span<const MobilityPattern> patterns) {
+  WalkScratch& s = walk_scratch();
+  s.alphabet.clear();
+  for (const MobilityPattern& pattern : patterns)
+    for (const TimedElement& element : pattern.elements) s.alphabet.push_back(element.label);
+  std::sort(s.alphabet.begin(), s.alphabet.end());
+  s.alphabet.erase(std::unique(s.alphabet.begin(), s.alphabet.end()), s.alphabet.end());
+  return sweep_frontier(s, [&](auto&& offer) {
+    for (const MobilityPattern& pattern : patterns)
+      for (const TimedElement& element : pattern.elements)
+        offer(dense_of(s, element.label), placement_minute(element.mean_minute),
+              static_cast<std::uint32_t>(pattern.support_count));
+  });
 }
 
 std::size_t UserMobility::support_count_of(

@@ -40,25 +40,28 @@ struct MobilityPattern {
   friend bool operator==(const MobilityPattern&, const MobilityPattern&) = default;
 };
 
-/// One element of the compact placement index a closed-mode entry
-/// carries instead of the expanded pattern set. `rank` is the element's
-/// position in the canonical expanded-mode emission order (pattern-major
-/// over the canonically sorted frequent set), `minute` is the element's
-/// annotated mean minute-of-day truncated to an int — the two inputs the
-/// crowd layer's first-qualifying-wins placement rule consumes. Only the
-/// per-(label, minute) support frontier is kept: a candidate whose
-/// support does not exceed every earlier-rank candidate of the same key
-/// can never win a placement at any threshold or window size, so it is
-/// pruned at mine time (see mobility.cpp for the argument).
+/// One element of the support-frontier placement index every mined
+/// entry carries. `rank` is the element's position in the entry's
+/// full-set emission order (pattern-major over the stored patterns of an
+/// expanded entry, over the canonically sorted frequent set of a compact
+/// one), `minute` is the element's annotated mean minute-of-day
+/// truncated to an int — the two inputs the crowd layer's
+/// first-qualifying-wins placement rule consumes. The pattern's support
+/// is not stored: it is support_count / recorded_days, the same double
+/// every miner computes. Only the per-(label, minute) support frontier is
+/// kept: a candidate whose support does not exceed every earlier-rank
+/// candidate of the same key can never win a placement at any threshold
+/// or window size, so it is pruned at mine time (see mobility.cpp for
+/// the argument).
 struct PlacementCandidate {
   mining::Item label = 0;
   std::uint16_t minute = 0;        ///< int(mean_minute), in [0, 1440)
-  std::uint32_t rank = 0;          ///< canonical expanded emission order
+  std::uint32_t rank = 0;          ///< full-set emission order
   std::uint32_t support_count = 0; ///< days supporting the source pattern
-  double support = 0.0;            ///< support_count / recorded_days
 
   friend bool operator==(const PlacementCandidate&, const PlacementCandidate&) = default;
 };
+static_assert(sizeof(PlacementCandidate) == 16);
 
 /// Everything phase 2 derives for one user.
 struct UserMobility {
@@ -71,15 +74,14 @@ struct UserMobility {
   mining::MiningStats mining_stats;
   /// True when `patterns` holds only the *closed* set (closed-output
   /// miner, MiningOptions::expand_closed off). Support queries answer by
-  /// subsumption and crowd placement reads `placement_index`; routes
-  /// whose wire contract needs the full set expand lazily (see
-  /// expand_user_patterns).
+  /// subsumption; routes whose wire contract needs the full set expand
+  /// lazily (see expand_user_patterns).
   bool closed_only = false;
   /// Size of the full frequent set (known at mine time even when only
   /// the closed set is stored). Meaningful only when closed_only.
   std::size_t frequent_patterns = 0;
-  /// Closed-mode placement index, sorted by rank. Empty when
-  /// closed_only is false (the expanded patterns are their own index).
+  /// Support-frontier placement index over the full frequent set, sorted
+  /// by rank — what crowd placement reads, in either storage mode.
   std::vector<PlacementCandidate> placement_index;
 
   /// Patterns a full-set consumer would see: the stored count in
@@ -144,8 +146,8 @@ struct MobilityOptions {
     unsigned threads = 0);
 
 /// Aggregate size of a set of mobility entries — what /api/status and
-/// bench_mining report per epoch to make the closed-mode memory win (or
-/// its absence on sparse corpora) observable.
+/// bench_mining report per epoch to make the closed-mode memory win
+/// observable.
 struct MobilityStats {
   std::size_t entries = 0;               ///< users with a mined entry
   std::size_t compact_entries = 0;       ///< entries stored closed-only
@@ -256,6 +258,15 @@ class MobilityTable {
 
   std::vector<EntryPtr> entries_;  // ascending by user
 };
+
+/// The support-frontier placement index of annotated patterns in their
+/// emission order: every element offers (label, int(mean_minute),
+/// support_count) at the next rank, and is kept only when it strictly
+/// raises its (label, minute) key's running support maximum. An expanded
+/// entry's index is this over its stored patterns; a compact entry's
+/// index equals this over its lazy expansion.
+[[nodiscard]] std::vector<PlacementCandidate> placement_index_of(
+    std::span<const MobilityPattern> patterns);
 
 /// Annotates an already-mined pattern with per-position visit times by
 /// scanning the greedy first embedding in every supporting day.

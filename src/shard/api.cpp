@@ -123,21 +123,13 @@ Response user_patterns_handler(ShardRouter& router, const PathParams& params) {
   // Closed-mode entries expand lazily for this request: the wire
   // contract lists the full frequent set regardless of how the owning
   // shard stores it, so the bytes match the expanded-mode response.
-  const std::vector<patterns::MobilityPattern>* listed = &mobility->patterns;
-  std::vector<patterns::MobilityPattern> expanded;
-  if (mobility->closed_only) {
-    patterns::MobilityOptions mobility_options;
-    mobility_options.sequences = router.platform().config().sequences;
-    mobility_options.mining = router.platform().config().mining;
-    expanded = patterns::expand_user_patterns(*mobility, home->dataset,
-                                              router.taxonomy(), mobility_options);
-    listed = &expanded;
-  }
+  const core::PlatformConfig& config = router.platform().config();
+  const std::vector<patterns::MobilityPattern> expanded = patterns::expand_user_patterns(
+      *mobility, home->dataset, router.taxonomy(), {config.sequences, config.mining});
   json::Value list = json::Value(json::Array{});
-  for (const patterns::MobilityPattern& pattern : *listed)
-    list.push_back(core::handlers::pattern_json(
-        pattern, router.platform().config().sequences.mode, router.taxonomy(),
-        home->dataset));
+  for (const patterns::MobilityPattern& pattern : expanded)
+    list.push_back(core::handlers::pattern_json(pattern, config.sequences.mode,
+                                                router.taxonomy(), home->dataset));
   json::Value payload = json::object(
       {{"user", static_cast<std::int64_t>(mobility->user)},
        {"recorded_days", static_cast<std::int64_t>(mobility->recorded_days)},

@@ -13,8 +13,8 @@
 // of the span must be the rejected part (IngestWorker::submit and
 // IngestQueue::push_batch fill front to back, so both qualify).
 // shard::ShardRouter::submit partitions batches across shards and does
-// NOT reject a suffix — per-shard frame listeners therefore run
-// spool-less (see shard/transport.hpp).
+// NOT reject a suffix, so a frame listener feeding a router must run
+// spool-less.
 #pragma once
 
 #include <chrono>

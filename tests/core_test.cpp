@@ -239,6 +239,96 @@ TEST(SnapshotTest, CompactMobilityEntriesRoundTripWithTheirSidecar) {
     EXPECT_TRUE(entry.closed_only);
 }
 
+TEST(SnapshotTest, DefaultModeLoadRebuildsEveryPlacementIndex) {
+  // Expanded entries persist no index; the loader re-derives it from the
+  // stored patterns, equal to the one built at mine time.
+  const Platform& original = platform();
+  const std::string dir = ::testing::TempDir() + "/crowdweb_snapshot_index";
+  ASSERT_TRUE(save_snapshot(original, dir).is_ok());
+  const auto restored = load_snapshot(dir);
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  ASSERT_EQ(restored->mobility().size(), original.mobility().size());
+  std::size_t candidates = 0;
+  for (std::size_t i = 0; i < original.mobility().size(); ++i) {
+    EXPECT_FALSE(restored->mobility()[i].closed_only);
+    EXPECT_EQ(restored->mobility()[i].placement_index, original.mobility()[i].placement_index)
+        << "user " << original.mobility()[i].user;
+    candidates += original.mobility()[i].placement_index.size();
+  }
+  EXPECT_GT(candidates, 0u);
+}
+
+/// A one-user compact mobility document over 4 recorded days whose index
+/// holds a valid candidate followed by `candidate`.
+json::Value compact_document(json::Value candidate) {
+  json::Value index = json::Value(json::Array{});
+  index.push_back(json::object(
+      {{"label", 1}, {"minute", 540}, {"rank", 0}, {"support_count", 2}, {"support", 0.5}}));
+  index.push_back(std::move(candidate));
+  json::Value users = json::Value(json::Array{});
+  users.push_back(json::object({{"user", 3},
+                                {"recorded_days", 4},
+                                {"patterns", json::Value(json::Array{})},
+                                {"closed", true},
+                                {"frequent_patterns", 2},
+                                {"placement_index", std::move(index)}}));
+  return json::object({{"version", 1}, {"users", std::move(users)}});
+}
+
+json::Value candidate(std::int64_t minute, std::int64_t rank, std::int64_t count,
+                      double support) {
+  return json::object({{"label", 2},
+                       {"minute", minute},
+                       {"rank", rank},
+                       {"support_count", count},
+                       {"support", support}});
+}
+
+TEST(SnapshotTest, CompactCandidateInRangeLoads) {
+  const auto loaded = mobility_from_json(compact_document(candidate(1439, 5, 4, 1.0)));
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->front().placement_index.size(), 2u);
+  EXPECT_EQ(loaded->front().placement_index[1],
+            (patterns::PlacementCandidate{2, 1439, 5, 4}));
+}
+
+TEST(SnapshotTest, RejectsCandidateMinuteOutsideTheDay) {
+  EXPECT_FALSE(mobility_from_json(compact_document(candidate(1440, 5, 3, 0.75))).is_ok());
+  EXPECT_FALSE(mobility_from_json(compact_document(candidate(-1, 5, 3, 0.75))).is_ok());
+}
+
+TEST(SnapshotTest, RejectsCandidateWithZeroSupportCount) {
+  EXPECT_FALSE(mobility_from_json(compact_document(candidate(600, 5, 0, 0.0))).is_ok());
+}
+
+TEST(SnapshotTest, RejectsCandidateSupportCountAboveRecordedDays) {
+  EXPECT_FALSE(mobility_from_json(compact_document(candidate(600, 5, 5, 1.25))).is_ok());
+}
+
+TEST(SnapshotTest, RejectsCandidateRankThatDoesNotAscend) {
+  EXPECT_FALSE(mobility_from_json(compact_document(candidate(600, 0, 3, 0.75))).is_ok());
+}
+
+TEST(SnapshotTest, RejectsCandidateSupportNotDerivedFromItsCount) {
+  EXPECT_FALSE(mobility_from_json(compact_document(candidate(600, 5, 3, 0.7))).is_ok());
+}
+
+TEST(SnapshotTest, RejectsExpandedPatternOverZeroRecordedDays) {
+  // Expanded entries derive their index support the same way, so a
+  // pattern claiming days the entry never recorded is refused too.
+  json::Value elements = json::Value(json::Array{});
+  elements.push_back(
+      json::object({{"label", 1}, {"mean_minute", 540.0}, {"stddev_minute", 0.0}}));
+  json::Value pattern_list = json::Value(json::Array{});
+  pattern_list.push_back(json::object(
+      {{"elements", std::move(elements)}, {"support_count", 1}, {"support", 1.0}}));
+  json::Value users = json::Value(json::Array{});
+  users.push_back(json::object(
+      {{"user", 3}, {"recorded_days", 0}, {"patterns", std::move(pattern_list)}}));
+  EXPECT_FALSE(
+      mobility_from_json(json::object({{"version", 1}, {"users", std::move(users)}})).is_ok());
+}
+
 TEST(SnapshotTest, LoadRejectsMissingDirectory) {
   EXPECT_FALSE(load_snapshot("/nonexistent/snapshot/dir").is_ok());
 }

@@ -5,7 +5,6 @@
 
 #include "data/dataset.hpp"
 #include "mining/bide.hpp"
-#include "mining/clospan.hpp"
 #include "mining/gsp.hpp"
 #include "mining/naive.hpp"
 #include "mining/pattern.hpp"
@@ -553,7 +552,6 @@ OwnedColumns columns_of(const SequenceDb& db) {
 
 TEST(BideTest, EmptyDatabase) {
   EXPECT_TRUE(bide(SequenceDb{}, {}).empty());
-  EXPECT_TRUE(clospan(SequenceDb{}, {}).empty());
 }
 
 TEST(BideTest, TextbookClosedSet) {
@@ -590,7 +588,6 @@ TEST(BideTest, MatchesPostfilteredPrefixSpanOnRandomDbs) {
     options.min_support = 0.1 + 0.2 * static_cast<double>(trial % 4);
     const auto oracle = closed_patterns(prefixspan(db, options));
     EXPECT_EQ(bide(db, options), oracle) << "trial " << trial;
-    EXPECT_EQ(clospan(db, options), oracle) << "trial " << trial;
   }
 }
 
@@ -648,7 +645,7 @@ TEST(MiningStatsTest, TruncationFlagTracksMaxPatternsCap) {
   EXPECT_EQ(stats.emitted, full.size());
 
   options.max_patterns = 3;
-  for (const auto* name : {"prefixspan", "gsp", "spade", "naive", "bide", "clospan"}) {
+  for (const auto* name : {"prefixspan", "gsp", "spade", "naive", "bide"}) {
     options.algorithm = name;
     const auto capped = mining::find_miner(name)->mine(columns_of(db).view(), options);
     EXPECT_LE(capped.patterns.size(), 3u) << name;
@@ -671,7 +668,7 @@ TEST(MiningStatsTest, MergeAccumulates) {
 
 TEST(RegistryTest, NamesRoundTrip) {
   const auto names = miner_names();
-  ASSERT_GE(names.size(), 6u);
+  ASSERT_GE(names.size(), 5u);
   EXPECT_EQ(names.front(), "prefixspan");
   for (const std::string_view name : names) {
     const IMiningAlgorithm* miner = find_miner(name);
@@ -682,7 +679,6 @@ TEST(RegistryTest, NamesRoundTrip) {
     EXPECT_EQ(*resolved, miner);
   }
   EXPECT_TRUE(find_miner("bide")->closed_output());
-  EXPECT_TRUE(find_miner("clospan")->closed_output());
   EXPECT_FALSE(find_miner("prefixspan")->closed_output());
 }
 

@@ -225,12 +225,15 @@ TEST(CompactMobilityTest, ClosedModeStoresOnlyClosedPatterns) {
   // size of the frequent set it stands in for.
   EXPECT_EQ(modes.compact.frequent_patterns, modes.expanded.patterns.size());
   EXPECT_EQ(modes.compact.served_pattern_count(), modes.expanded.served_pattern_count());
-  // The sidecar index never grows past the expanded element count.
+  // The sidecar index never grows past the expanded element count, and
+  // the walk over the closed set builds the very index the sweep builds
+  // over the expanded patterns.
   std::size_t expanded_elements = 0;
   for (const MobilityPattern& pattern : modes.expanded.patterns)
     expanded_elements += pattern.elements.size();
   EXPECT_LE(modes.compact.placement_index.size(), expanded_elements);
   EXPECT_FALSE(modes.compact.placement_index.empty());
+  EXPECT_EQ(modes.compact.placement_index, modes.expanded.placement_index);
   // The expansion work is accounted in the stats split.
   EXPECT_EQ(modes.compact.mining_stats.expanded, modes.expanded.patterns.size());
 }
@@ -305,9 +308,8 @@ TEST(CompactMobilityTest, ResidentBytesShrinkWithTheClosedSet) {
   EXPECT_EQ(expanded_stats.compact_entries, 0u);
   EXPECT_EQ(compact_stats.compact_entries, 1u);
   EXPECT_LT(compact_stats.patterns, expanded_stats.patterns);
-  // On this dense routine the closed set + sidecar index is smaller than
-  // the expanded table (sparse corpora can invert this — see
-  // docs/PERFORMANCE.md).
+  // Both modes carry the same index, so the closed set alone makes the
+  // difference.
   EXPECT_LT(compact_stats.bytes, expanded_stats.bytes);
 }
 
@@ -340,7 +342,7 @@ ExpansionReference expansion_reference(const mining::UserSequences& sequences,
           {element.label,
            static_cast<std::uint16_t>(
                std::clamp(static_cast<int>(element.mean_minute), 0, 24 * 60 - 1)),
-           rank++, static_cast<std::uint32_t>(pattern.support_count), pattern.support});
+           rank++, static_cast<std::uint32_t>(pattern.support_count)});
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -412,6 +414,7 @@ TEST(CompactMobilityTest, IndexAndLazyExpansionMatchTheExpansionRecipe) {
           ASSERT_TRUE(mobility.closed_only);
           EXPECT_EQ(mobility.user, 42u);
           EXPECT_EQ(mobility.placement_index, reference.index);
+          EXPECT_EQ(placement_index_of(reference.patterns), reference.index);
           EXPECT_EQ(mobility.frequent_patterns, reference.patterns.size());
           EXPECT_EQ(mobility.mining_stats.expanded, reference.expanded);
           EXPECT_EQ(mobility.mining_stats.truncated, reference.truncated);
